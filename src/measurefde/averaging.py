@@ -10,8 +10,6 @@ constant assembled from the declared problem constants.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from .mfde import MfdeProblem, ProblemBounds, Trajectory, solve_picard
 from .phase_space import UNIFORM_WEIGHT, RegulatedFn, Weight
-from .stieltjes import Integrator, integrate, _sample
+from .stieltjes import Integrator, integrate, _sample, _simpson_rule
 
 
 class AvgConditionError(ValueError):
@@ -133,7 +131,7 @@ def _random_history(rng, dim: int, depth: float) -> RegulatedFn:
 # -- the averaged right-hand side --------------------------------------------
 
 
-def averaged_rhs(p: AvgProblem, psi: RegulatedFn, n_panels: int = 64) -> np.ndarray:
+def averaged_rhs(p: AvgProblem, psi: RegulatedFn) -> np.ndarray:
     """Time average (1/T) int_0^T f(s, psi) dh(s) for a frozen history."""
     return integrate(lambda s: p.f(s, psi), p.h, 0.0, p.T) / p.T
 
@@ -149,12 +147,7 @@ def make_averaged_rule(p: AvgProblem, n_panels: int = 64):
     nodes = []
     weights = []
     for a, b in zip(cuts, cuts[1:]):
-        m = max(1, int(math.ceil(n_panels * (b - a) / p.T)))
-        xs = np.linspace(a, b, 2 * m + 1)
-        w = np.ones(len(xs))
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= (b - a) / (2 * m) / 3.0
+        xs, w = _simpson_rule(a, b, max(1, int(math.ceil(n_panels * (b - a) / p.T))))
         nodes.append(xs)
         weights.append(w * _sample(p.h.density, xs))
     s_nodes = np.concatenate(nodes)
@@ -186,13 +179,11 @@ def _original_problem(p: AvgProblem, eps: float) -> MfdeProblem:
     C = p.const("C")
     C2 = p.const("C2")
     C4 = p.const("C4")
-    if p.g_pert is None:
-        rhs = lambda s, psi: eps * np.atleast_1d(np.asarray(p.f(s, psi), float))
-    else:
-        g_pert = p.g_pert
-        rhs = lambda s, psi: (eps * np.atleast_1d(np.asarray(p.f(s, psi), float))
-                              + eps * eps * np.atleast_1d(
-                                  np.asarray(g_pert(s, psi, eps), float)))
+    rhs = lambda s, psi: eps * np.atleast_1d(np.asarray(p.f(s, psi), float))
+    # the eps^2 perturbation is a second integral term, against h_pert if set
+    pert = lambda s, psi: eps * eps * np.atleast_1d(
+        np.asarray(p.g_pert(s, psi, eps), float))
+    extra_terms = () if p.g_pert is None else ((pert, p.h_pert or p.h),)
     bounds = ProblemBounds(
         M_fn=lambda s: eps * M * (1.0 + eps),
         L=lambda s: eps * C * (1.0 + eps),
@@ -202,7 +193,7 @@ def _original_problem(p: AvgProblem, eps: float) -> MfdeProblem:
     return MfdeProblem(f=rhs, rho_delay=lambda s, psi: p.rho_delay(s, psi, eps),
                        g=p.h, phi0=p.phi0, t0=0.0, sigma=horizon, bounds=bounds,
                        tol=p.solver_tol, max_iters=p.max_iters, weight=p.weight,
-                       history_depth=p.history_depth)
+                       history_depth=p.history_depth, extra_terms=extra_terms)
 
 
 def _default_steps(p: AvgProblem, eps: float) -> tuple[float, float]:
@@ -218,8 +209,6 @@ def solve_original(p: AvgProblem, eps: float,
     _require_eps(p, eps)
     if step is None:
         step, _ = _default_steps(p, eps)
-    if p.g_pert is not None and p.h_pert is not None:
-        return _solve_dual(p, eps, step)
     traj, _iters, _delta = solve_picard(_original_problem(p, eps), step=step)
     return traj
 
@@ -251,52 +240,6 @@ def solve_averaged(p: AvgProblem, eps: float, step: float | None = None,
 def _require_eps(p: AvgProblem, eps: float):
     if not (0.0 < eps <= p.eps0):
         raise ValueError(f"eps must lie in (0, {p.eps0}]")
-
-
-def _solve_dual(p: AvgProblem, eps: float, step: float) -> Trajectory:
-    """Picard loop for distinct integrators on the two forcing terms."""
-    from .mfde import (_advance, _mesh_caches, build_mesh, initial_trajectory,
-                       _partition_windows, contraction_rate)
-
-    main = _original_problem(p, eps)
-    f_only = MfdeProblem(
-        f=lambda s, psi: eps * np.atleast_1d(np.asarray(p.f(s, psi), float)),
-        rho_delay=main.rho_delay, g=p.h, phi0=p.phi0, t0=0.0, sigma=main.sigma,
-        bounds=main.bounds, tol=main.tol, max_iters=main.max_iters,
-        weight=p.weight, history_depth=p.history_depth)
-    g_pert = p.g_pert
-    pert = MfdeProblem(
-        f=lambda s, psi: eps * eps * np.atleast_1d(
-            np.asarray(g_pert(s, psi, eps), float)),
-        rho_delay=main.rho_delay, g=p.h_pert, phi0=p.phi0, t0=0.0,
-        sigma=main.sigma, bounds=main.bounds, tol=main.tol,
-        max_iters=main.max_iters, weight=p.weight, history_depth=p.history_depth)
-
-    mesh = build_mesh(f_only, step)
-    extra = [t for t, _ in p.h_pert.jumps if 0.0 < t < main.sigma]
-    if extra:
-        mesh = np.unique(np.concatenate([mesh, extra]))
-    g1 = p.h.values_at(mesh)
-    d1n, d1m, j1 = _mesh_caches(f_only, mesh)
-    d2n, d2m, j2 = _mesh_caches(pert, mesh)
-    K = contraction_rate(f_only, mesh)
-    windows = _partition_windows(K, g1)
-    x = initial_trajectory(f_only, mesh)
-    base0 = np.atleast_1d(p.phi0.value_at_zero())
-    for (i0, i1) in windows:
-        base = base0 if i0 == 0 else x.values[i0].copy()
-        for _ in range(p.max_iters):
-            v1, q1 = _advance(f_only, x, d1n, d1m, j1, i0, i1, base * 0.0)
-            v2, q2 = _advance(pert, x, d2n, d2m, j2, i0, i1, base * 0.0)
-            vals = base + v1 + v2
-            post = base + q1 + q2
-            delta = max(float(np.abs(vals - x.values[i0:i1 + 1]).max()),
-                        float(np.abs(post - x.post_jump_values[i0:i1 + 1]).max()))
-            x.values[i0:i1 + 1] = vals
-            x.post_jump_values[i0:i1 + 1] = post
-            if delta < p.solver_tol:
-                break
-    return x
 
 
 # -- comparison ----------------------------------------------------------------
@@ -444,8 +387,7 @@ def compare(p: AvgProblem, eps_list: Sequence[float],
     """Solve both systems per eps, measure sup errors, fit the eps-order.
 
     Solver failures are recorded per eps and excluded from the fit; the
-    pass flag per eps is error <= J * eps.  Set MFDE_THREADS > 1 to run the
-    per-eps solves concurrently.
+    pass flag per eps is error <= J * eps.
     """
     if check:
         check_problem(p)
@@ -459,29 +401,15 @@ def compare(p: AvgProblem, eps_list: Sequence[float],
         estimate_based = True
 
     eps_list = [float(e) for e in eps_list]
-
-    def one(eps: float):
-        x = solve_original(p, eps, step=step)
-        y = solve_averaged(p, eps, step=step, n_panels=n_panels)
-        return sup_difference(x, y)
-
     errors: dict[float, float] = {}
     failures: dict[float, str] = {}
-    n_threads = max(1, int(os.environ.get("MFDE_THREADS", "1")))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futs = {eps: pool.submit(one, eps) for eps in eps_list}
-            for eps, fut in futs.items():
-                try:
-                    errors[eps] = fut.result()
-                except Exception as exc:
-                    failures[eps] = f"{type(exc).__name__}: {exc}"
-    else:
-        for eps in eps_list:
-            try:
-                errors[eps] = one(eps)
-            except Exception as exc:
-                failures[eps] = f"{type(exc).__name__}: {exc}"
+    for eps in eps_list:
+        try:
+            x = solve_original(p, eps, step=step)
+            y = solve_averaged(p, eps, step=step, n_panels=n_panels)
+            errors[eps] = sup_difference(x, y)
+        except Exception as exc:
+            failures[eps] = f"{type(exc).__name__}: {exc}"
 
     J = error_constant(p)
     measured = [errors.get(eps, math.nan) for eps in eps_list]

@@ -34,7 +34,7 @@ EXPRESSIONS = {
 
 DEFAULTS = {
     "integrate": {"f": "one", "density": "one", "jumps": "", "from": 0.0,
-                  "to": 1.0, "mesh": 0.01, "tol": 1e-9, "levels": 6},
+                  "to": 1.0, "mesh": 0.01, "levels": 6},
     "mfde": {"example": "tanh", "t0": 0.0, "sigma": 2.0, "step": 2e-3,
              "tol": 1e-9, "jumps": "", "out": "mfde_run"},
     "avg": {"case": "linear", "eps": "0.2,0.1,0.05,0.025", "L": 1.0,
@@ -98,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--from", dest="from")
     p_int.add_argument("--to", dest="to")
     p_int.add_argument("--mesh")
-    p_int.add_argument("--tol")
     p_int.add_argument("--levels")
 
     p_m = sub.add_parser("mfde", help="solve the delay integral equation")
@@ -228,9 +227,7 @@ def _run_integrate(cfg: RunConfig) -> int:
     g = Integrator(density=EXPRESSIONS[prm["density"]],
                    jumps=_parse_jumps(prm["jumps"]))
     a, b = float(prm["from"]), float(prm["to"])
-    qc = QuadConfig(base_mesh=float(prm["mesh"]),
-                    refinement_levels=int(prm["levels"]),
-                    abs_tol=float(prm["tol"]))
+    qc = QuadConfig(base_mesh=float(prm["mesh"]))
     scalar_f = lambda s: float(np.asarray(f(s)))
     value = float(stieltjes.integrate(scalar_f, g, a, b, qc)[0])
     ladder = stieltjes.refine_ladder(scalar_f, g, a, b, int(prm["levels"]))

@@ -1,22 +1,25 @@
 """Solver for measure functional differential equations with state-dependent delay.
 
 The problem is the integral equation
-    x(t) = x(t0) + int_{t0}^{t} f(s, x_{rho(s, x_s)}) dg(s),   x_{t0} = phi,
-with g nondecreasing and left-continuous, solved by Picard iteration of the
-solution operator on a jump-aware mesh.  The horizon is partitioned into
-windows whenever the computable contraction certificate exceeds one.
+    x(t) = x(t0) + sum_k int_{t0}^{t} f_k(s, x_{rho(s, x_s)}) dg_k(s),
+    x_{t0} = phi,
+with each g_k nondecreasing and left-continuous, solved by Picard iteration
+of the solution operator on a jump-aware mesh.  The horizon is partitioned
+into windows whenever the computable contraction certificate exceeds one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 from .phase_space import EXP_WEIGHT, RegulatedFn, Weight, segment
-from .stieltjes import Integrator, QuadConfig, _sample
+from .stieltjes import Integrator, _sample, _simpson_rule
 
 
 class HypothesisViolationError(ValueError):
@@ -43,6 +46,10 @@ class ProblemBounds:
 
 @dataclass(frozen=True)
 class MfdeProblem:
+    """x = x(t0) + sum of int f_k dg_k: (f, g) is the first term and
+    extra_terms holds any further (f_k, g_k) pairs, all read at the same
+    delayed history."""
+
     f: Callable[[float, RegulatedFn], object]
     rho_delay: Callable[[float, RegulatedFn], float]
     g: Integrator
@@ -54,12 +61,17 @@ class MfdeProblem:
     max_iters: int = 80
     weight: Weight = EXP_WEIGHT
     history_depth: float | None = None
+    extra_terms: tuple[tuple[Callable, Integrator], ...] = ()
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.tol <= 0 or self.max_iters <= 0:
             raise ValueError("tol and max_iters must be positive")
+
+    @property
+    def terms(self) -> tuple:
+        return ((self.f, self.g),) + self.extra_terms
 
 
 @dataclass
@@ -119,11 +131,13 @@ class Trajectory:
 
 
 def build_mesh(p: MfdeProblem, step: float) -> np.ndarray:
-    """Uniform base mesh plus jump times of g plus shifted history breakpoints."""
+    """Uniform base mesh plus jump times of every g_k plus shifted history
+    breakpoints."""
     t_end = p.t0 + p.sigma
     n = max(2, int(math.ceil(p.sigma / step)))
     pts = set(np.linspace(p.t0, t_end, n + 1).tolist())
-    pts.update(t for t, _ in p.g.jumps if p.t0 < t < t_end)
+    for _, g in p.terms:
+        pts.update(t for t, _ in g.jumps if p.t0 < t < t_end)
     for bp in p.phi0.breakpoints:
         cand = p.t0 - float(bp)
         if p.t0 < cand < t_end:
@@ -146,8 +160,9 @@ def initial_trajectory(p: MfdeProblem, mesh: np.ndarray,
     return Trajectory(mesh, vals, vals.copy(), p.phi0, p.t0)
 
 
-def _delayed_rhs(p: MfdeProblem, x: Trajectory, s: float) -> tuple[np.ndarray, float]:
-    """f evaluated on the history at the delayed time, plus the delayed time."""
+def _delayed_rhs(p: MfdeProblem, x: Trajectory, s: float) -> tuple[list, float]:
+    """Every f_k evaluated on the history at the delayed time, plus the
+    delayed time."""
     hist_s = segment(x, s, p.history_depth)
     r = float(p.rho_delay(s, hist_s))
     if r > s + 1e-9:
@@ -156,18 +171,24 @@ def _delayed_rhs(p: MfdeProblem, x: Trajectory, s: float) -> tuple[np.ndarray, f
         hist_r = hist_s
     else:
         hist_r = segment(x, r, p.history_depth)
-    return np.atleast_1d(np.asarray(p.f(s, hist_r), dtype=float)), r
+    return [np.atleast_1d(np.asarray(f(s, hist_r), dtype=float))
+            for f, _ in p.terms], r
 
 
-def _advance(p: MfdeProblem, x: Trajectory,
-             dens_nodes: np.ndarray, dens_mids: np.ndarray,
-             jump_at: np.ndarray, i0: int, i1: int,
-             base_val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jump_sum(fs: list, caches: list, j: int) -> np.ndarray:
+    """Sum of f_k * (jump of g_k) over the terms jumping at mesh index j."""
+    return reduce(operator.add, [f * jump_at[j] for f, (_, _, jump_at)
+                                 in zip(fs, caches) if jump_at[j]])
+
+
+def _advance(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
+             i0: int, i1: int, base_val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One application of the solution operator on mesh indices [i0, i1].
 
     Returns (values, post_jump_values) for that index range, reading all
     histories from the iterate x.  Simpson on each mesh cell for the density
-    part; the jump at the left endpoint of a cell belongs to that cell.
+    part of every term; a jump at the left endpoint of a cell belongs to that
+    cell.
     """
     mesh = x.mesh
     dim = x.dim
@@ -176,7 +197,7 @@ def _advance(p: MfdeProblem, x: Trajectory,
     post = np.empty((n_pts, dim))
     vals[0] = base_val
     f_left, _ = _delayed_rhs(p, x, float(mesh[i0]))
-    post[0] = vals[0] + (f_left * jump_at[i0] if jump_at[i0] else 0.0)
+    post[0] = vals[0] + (_jump_sum(f_left, caches, i0) if any_jump[i0] else 0.0)
     acc = vals[0].astype(float).copy()
     for j in range(i0, i1):
         k = j - i0
@@ -184,46 +205,49 @@ def _advance(p: MfdeProblem, x: Trajectory,
         smid = 0.5 * (mesh[j] + mesh[j + 1])
         f_mid, _ = _delayed_rhs(p, x, float(smid))
         f_right, _ = _delayed_rhs(p, x, float(mesh[j + 1]))
-        if jump_at[j]:
+        if any_jump[j]:
             # density integrand over (t_j, t_{j+1}) starts from the
-            # post-jump history; the jump atom itself uses the left value
+            # post-jump history; the jump atoms themselves use the left value
             f_post, _ = _delayed_rhs(p, x, float(mesh[j]) + 1e-9 * h)
         else:
             f_post = f_left
-        inc = (h / 6.0) * (f_post * dens_nodes[j]
-                           + 4.0 * f_mid * dens_mids[j]
-                           + f_right * dens_nodes[j + 1])
-        if jump_at[j]:
-            inc = inc + f_left * jump_at[j]
+        inc = reduce(operator.add, [
+            (h / 6.0) * (fp * dn[j] + 4.0 * fm * dm[j] + fr * dn[j + 1])
+            for fp, fm, fr, (dn, dm, _) in zip(f_post, f_mid, f_right, caches)])
+        if any_jump[j]:
+            inc = inc + _jump_sum(f_left, caches, j)
         acc = acc + inc
         vals[k + 1] = acc
-        post[k + 1] = acc + (f_right * jump_at[j + 1] if jump_at[j + 1] else 0.0)
+        post[k + 1] = acc + (_jump_sum(f_right, caches, j + 1)
+                             if any_jump[j + 1] else 0.0)
         f_left = f_right
     return vals, post
 
 
-def _mesh_caches(p: MfdeProblem, mesh: np.ndarray):
+def _mesh_caches(p: MfdeProblem, mesh: np.ndarray) -> tuple[list, np.ndarray]:
+    """Per-term (density at nodes, density at midpoints, jump at node) arrays,
+    and the mask of nodes where some term jumps."""
     mids = 0.5 * (mesh[:-1] + mesh[1:])
-    dens_nodes = _sample(p.g.density, mesh)
-    dens_mids = _sample(p.g.density, mids)
-    jump_at = np.zeros(len(mesh))
-    for t, m in p.g.jumps:
-        hits = np.nonzero(np.abs(mesh - t) <= 1e-12)[0]
-        if hits.size:
-            jump_at[hits[0]] = m
-    return dens_nodes, dens_mids, jump_at
+    caches = []
+    for _, g in p.terms:
+        jump_at = np.zeros(len(mesh))
+        for t, m in g.jumps:
+            hits = np.nonzero(np.abs(mesh - t) <= 1e-12)[0]
+            if hits.size:
+                jump_at[hits[0]] = m
+        caches.append((_sample(g.density, mesh), _sample(g.density, mids), jump_at))
+    any_jump = np.any([jump_at != 0 for _, _, jump_at in caches], axis=0)
+    return caches, any_jump
 
 
 def gamma_apply(x: Trajectory, p: MfdeProblem) -> Trajectory:
     """Apply the solution operator to a candidate trajectory on its mesh."""
-    dens_nodes, dens_mids, jump_at = _mesh_caches(p, x.mesh)
     base = np.atleast_1d(p.phi0.value_at_zero())
-    vals, post = _advance(p, x, dens_nodes, dens_mids, jump_at,
-                          0, len(x.mesh) - 1, base)
+    vals, post = _advance(p, x, *_mesh_caches(p, x.mesh), 0, len(x.mesh) - 1, base)
     return Trajectory(x.mesh.copy(), vals, post, p.phi0, p.t0)
 
 
-def contraction_rate(p: MfdeProblem, mesh: np.ndarray) -> float:
+def contraction_rate(p: MfdeProblem) -> float:
     """Computable contraction certificate constant per unit of g-variation."""
     s_grid = np.linspace(p.t0, p.t0 + p.sigma, 65)
     lip = max(p.bounds.L(float(s)) + p.bounds.L2(float(s)) * p.bounds.L3(float(s))
@@ -252,16 +276,15 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
 
     Iterates x <- Gamma(x) windowwise until the sup change over the window
     mesh falls below tol; windows are sized so the contraction certificate
-    K * (g-variation) stays below one half whenever the whole-horizon
-    estimate is not already below one.
+    K * (summed g_k-variation) stays below one half whenever the
+    whole-horizon estimate is not already below one.
     """
     if step is None:
         step = p.sigma / 2000.0
     mesh = build_mesh(p, step)
-    gvals = p.g.values_at(mesh)
-    dens_nodes, dens_mids, jump_at = _mesh_caches(p, mesh)
-    K = contraction_rate(p, mesh)
-    windows = _partition_windows(K, gvals)
+    gvals = reduce(operator.add, (g.values_at(mesh) for _, g in p.terms))
+    caches, any_jump = _mesh_caches(p, mesh)
+    windows = _partition_windows(contraction_rate(p), gvals)
 
     x = initial_trajectory(p, mesh, initial_guess)
     total_iters = 0
@@ -271,8 +294,7 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
         delta = math.inf
         for _ in range(p.max_iters):
             total_iters += 1
-            vals, post = _advance(p, x, dens_nodes, dens_mids,
-                                  jump_at, i0, i1, base)
+            vals, post = _advance(p, x, caches, any_jump, i0, i1, base)
             delta = max(float(np.abs(vals - x.values[i0:i1 + 1]).max()),
                         float(np.abs(post - x.post_jump_values[i0:i1 + 1]).max()))
             x.values[i0:i1 + 1] = vals
@@ -436,13 +458,7 @@ def _kernel(theta):
 
 
 def _simpson_nodes(a: float, b: float, max_h: float) -> tuple[np.ndarray, np.ndarray]:
-    panels = max(1, int(math.ceil((b - a) / (2.0 * max_h))))
-    xs = np.linspace(a, b, 2 * panels + 1)
-    w = np.ones(len(xs))
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (b - a) / (2 * panels) / 3.0
-    return xs, w
+    return _simpson_rule(a, b, max(1, int(math.ceil((b - a) / (2.0 * max_h)))))
 
 
 def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0,

@@ -206,10 +206,6 @@ class Weight:
         th = np.asarray(theta, dtype=float)
         return np.exp(th) if self.kind == "exp_pos" else np.ones_like(th)
 
-    def p(self, t):
-        tt = np.asarray(t, dtype=float)
-        return np.exp(tt) if self.kind == "exp_pos" else np.ones_like(tt)
-
     def shift_growth(self, t: float) -> float:
         """Default bound constant sup k3 style growth for this weight."""
         return math.exp(t) if self.kind == "exp_pos" else 1.0

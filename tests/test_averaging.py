@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from measurefde.averaging import (AvgConditionError,
+from measurefde.averaging import (AvgConditionError, _original_problem,
                                   averaged_rhs, check_problem, compare,
                                   error_constant, estimate_constants,
                                   linear_periodic_problem, make_averaged_rule,
                                   sine_problem, solve_averaged, solve_original,
                                   sup_difference)
+from measurefde.mfde import HypothesisViolationError, residual
 from measurefde.phase_space import RegulatedFn
 from measurefde.stieltjes import Integrator
 
@@ -109,17 +110,31 @@ def test_eps_domain_enforced():
         solve_averaged(p, -0.1)
 
 
-def test_dual_integrator_perturbation():
-    # eps^2 term against its own pure-jump integrator: closed-form staircase
+def _dual_problem(**changes):
+    # eps^2 term against its own pure-jump integrator
     base = linear_periodic_problem(a0=0.0, b0=0.0, L=0.4)
     h2 = Integrator.pure_jumps([(1.0, 1.0), (3.0, 0.5)])
-    p = replace(base, f=lambda s, psi: 1.0, f_vectorized=False,
-                g_pert=lambda s, psi, eps: 2.0, h_pert=h2)
+    return replace(base, f=lambda s, psi: 1.0, f_vectorized=False,
+                   g_pert=lambda s, psi, eps: 2.0, h_pert=h2, **changes)
+
+
+def test_dual_integrator_perturbation():
+    # closed-form staircase
+    p = _dual_problem()
     eps = 0.2
     x = solve_original(p, eps, step=0.02)
     expected = 1.0 + eps * x.mesh \
         + eps * eps * 2.0 * ((x.mesh > 1.0) * 1.0 + (x.mesh > 3.0) * 0.5)
     assert np.max(np.abs(x.values[:, 0] - expected)) < 1e-8
+    # the dual solution is a fixed point of the two-term solution operator
+    assert residual(x, _original_problem(p, eps)) <= 10 * p.solver_tol
+
+
+def test_dual_integrator_checks_monotone_delay():
+    # the jumps of h_pert push the delayed time backwards along the solution
+    p = _dual_problem(rho_delay=lambda s, psi, eps: s - 2.0 * (psi(0.0) - 1.0))
+    with pytest.raises(HypothesisViolationError):
+        solve_original(p, 0.2, step=0.02)
 
 
 # -- constants and the guaranteed bound ----------------------------------------------
@@ -208,10 +223,18 @@ def test_compare_two_eps_order_one():
         assert ok
 
 
-def test_compare_records_failures():
-    p = replace(linear_periodic_problem(L=0.5), max_iters=1, solver_tol=1e-14)
+@pytest.mark.parametrize("p", [
+    linear_periodic_problem(L=0.5),
+    # f = 0 lets the averaged solve converge at once: only the eps^2 term
+    # against h_pert can fail to converge
+    replace(linear_periodic_problem(L=0.5), f=lambda s, psi: 0.0,
+            f_vectorized=False, g_pert=lambda s, psi, eps: 2.0,
+            h_pert=Integrator.pure_jumps([(1.0, 1.0), (2.0, 0.5)])),
+], ids=["single", "dual"])
+def test_compare_records_failures(p):
+    p = replace(p, max_iters=1, solver_tol=1e-14)
     rep = compare(p, [0.2], check=False)
-    assert 0.2 in rep.failures
+    assert rep.failures[0.2].startswith("ConvergenceError")
     assert math.isnan(rep.measured_errors[0])
     assert not rep.all_passed
 

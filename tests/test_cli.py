@@ -118,16 +118,6 @@ def test_predictor_off_is_result_not_error(tmp_path, monkeypatch, capsys):
     assert "status = completed" in text
 
 
-def test_threaded_sweep_matches_serial(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(["avg", "--case", "sine", "--eps", "0.2,0.1",
-                 "--L", "0.5", "--out", "ser"]) == 0
-    monkeypatch.setenv("MFDE_THREADS", "2")
-    assert main(["avg", "--case", "sine", "--eps", "0.2,0.1",
-                 "--L", "0.5", "--out", "par"]) == 0
-    assert Path("ser_report.csv").read_bytes() == Path("par_report.csv").read_bytes()
-
-
 def test_mfde_roundtrip_bit_identical(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["mfde", "--example", "tanh", "--sigma", "0.3",
