@@ -16,10 +16,9 @@ from .mfde import (MfdeProblem, ProblemBounds, Trajectory, check_bounds,
 from .averaging import (AvgProblem, AvgReport, averaged_rhs, compare,
                         error_constant, linear_periodic_problem, sine_problem,
                         solve_averaged, solve_original)
-from .esc import (EsParams, EsTrace, PdeDiag, delay_time, delayed_output,
-                  dither_signals, estimates, lyapunov_diagnostic,
-                  prediction_time, predictor_integral, simulate, static_map,
-                  step, table1_params, tail_metrics, transport_diagnostic)
+from .esc import (EsParams, EsTrace, PdeDiag, lyapunov_diagnostic, simulate,
+                  static_map, step, table1_params, tail_metrics,
+                  transport_diagnostic)
 
 __all__ = [
     "Integrator", "QuadConfig", "GronwallReport", "check_gronwall",
@@ -33,8 +32,7 @@ __all__ = [
     "AvgProblem", "AvgReport", "averaged_rhs", "compare", "error_constant",
     "linear_periodic_problem", "sine_problem", "solve_averaged",
     "solve_original",
-    "EsParams", "EsTrace", "PdeDiag", "delay_time", "delayed_output",
-    "dither_signals", "estimates", "lyapunov_diagnostic", "prediction_time",
-    "predictor_integral", "simulate", "static_map", "step", "table1_params",
-    "tail_metrics", "transport_diagnostic",
+    "EsParams", "EsTrace", "PdeDiag", "lyapunov_diagnostic", "simulate",
+    "static_map", "step", "table1_params", "tail_metrics",
+    "transport_diagnostic",
 ]

@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mfde import MfdeProblem, ProblemBounds, Trajectory, solve_picard
+from .mfde import (MfdeProblem, ProblemBounds, Trajectory, _random_history,
+                   solve_picard)
 from .phase_space import UNIFORM_WEIGHT, RegulatedFn, Weight
 from .stieltjes import Integrator, integrate, _sample, _simpson_rule
 
@@ -118,14 +119,6 @@ def check_problem(p: AvgProblem, n_samples: int = 12, seed: int = 0,
             if not ok and "(report only)" not in name:
                 raise AvgConditionError(f"{name} violated by {worst:.3e}")
     return results
-
-
-def _random_history(rng, dim: int, depth: float) -> RegulatedFn:
-    n = int(rng.integers(6, 16))
-    thetas = np.unique(np.concatenate([[-depth],
-                                       np.sort(rng.uniform(-depth, 0.0, n)), [0.0]]))
-    vals = rng.normal(0.0, 1.0, (len(thetas), dim)).cumsum(axis=0) / math.sqrt(n)
-    return RegulatedFn.polyline(thetas, vals, tail_value=np.zeros(dim))
 
 
 # -- the averaged right-hand side --------------------------------------------

@@ -25,6 +25,9 @@ from typing import Callable
 
 import numpy as np
 
+# Smallest predictor denominator 1 - H_hat * grad D(G) * U the loop accepts.
+DENOM_FLOOR = 1e-6
+
 
 class FeasibilityError(RuntimeError):
     """Predictor denominator fell to or below the floor."""
@@ -84,8 +87,6 @@ class EsParams:
     t_end: float = 200.0
     predictor_on: bool = True
     washout: float = 1.0              # rad/s; 0 disables washout and averaging
-    demod_delay_aware: bool | None = None   # None follows predictor_on
-    denom_floor: float = 1e-6
     u0: float = 0.0
     divergence_cap: float = 1e6
 
@@ -101,12 +102,6 @@ class EsParams:
             raise ValueError("delay_fn must be nonnegative")
         if self.delay_grad is None:
             object.__setattr__(self, "delay_grad", central_diff_grad(self.delay_fn))
-
-    @property
-    def delay_aware_demod(self) -> bool:
-        if self.demod_delay_aware is None:
-            return self.predictor_on
-        return self.demod_delay_aware
 
 
 def table1_params(**overrides) -> EsParams:
@@ -166,98 +161,12 @@ def static_map(p: EsParams, theta):
     return float(res) if res.ndim == 0 else res
 
 
-def delayed_output(p: EsParams, trace: EsTrace, t: float) -> float:
-    """Map output through the state-dependent lag: Q(theta(t - D(theta(t)))).
-
-    The initial probing history extends to arbitrarily negative times, so
-    the delayed argument never underflows the stored history.
-    """
-    theta_now = trace.theta_at(t)
-    d = float(p.delay_fn(theta_now))
-    return float(static_map(p, trace.theta_at(t - d)))
-
-
-def delay_time(p: EsParams, trace: EsTrace, t: float) -> float:
-    """phi(t) = t - D(theta(t))."""
-    return float(t - p.delay_fn(trace.theta_at(t)))
-
-
-def prediction_time(p: EsParams, trace: EsTrace, t: float,
-                    tol: float = 1e-10) -> float:
-    """sigma(t) solving phi(sigma) = t by bisection on [t, t + Dmax + 1]."""
-    mask = trace.times <= t
-    d_seen = trace.times[mask] - trace.phi_t[mask]
-    d_max = float(d_seen.max()) if d_seen.size else 0.0
-    lo, hi = t, t + d_max + 1.0
-    f_hi = delay_time(p, trace, hi) - t
-    tries = 0
-    while f_hi < 0.0 and tries < 8:
-        hi += d_max + 1.0
-        f_hi = delay_time(p, trace, hi) - t
-        tries += 1
-    if f_hi < 0.0:
-        raise AssumptionViolationError(
-            f"could not bracket the prediction time at t={t}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if delay_time(p, trace, mid) < t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def dither_signals(p: EsParams, trace: EsTrace, t: float) -> tuple[float, float, float]:
-    """Probe S and demodulation multipliers M, N at time t.
-
-    M and N carry the delayed phase omega * (t - D(theta(t))): the
-    demodulation must track the same lag the output went through.
-    """
-    theta_now = trace.theta_at(t)
-    td = t - float(p.delay_fn(theta_now))
-    s = p.a * math.sin(p.omega * t)
-    m = (2.0 / p.a) * math.sin(p.omega * td)
-    n = -(8.0 / (p.a * p.a)) * math.cos(2.0 * p.omega * td)
-    return s, m, n
-
-
-def estimates(p: EsParams, trace: EsTrace, t: float) -> tuple[float, float]:
-    """Gradient and curvature estimates at time t, read off the trace."""
-    g = float(np.interp(t, trace.times, trace.G))
-    h = float(np.interp(t, trace.times, trace.H_hat))
-    return g, h
-
-
-def predictor_integral(p: EsParams, trace: EsTrace, t: float) -> float:
-    """Predictor term Gamma(t) = H_hat(t) * int_{phi(t)}^{t} U / (1 - H_hat
-    grad D(G) U) dtau, trapezoid over the stored mesh with linear endpoint
-    interpolation.  Raises FeasibilityError when a node denominator falls
-    to the floor."""
-    phi = delay_time(p, trace, t)
-    if phi >= t:
-        return 0.0
-    ts = trace.times
-    grad = p.delay_grad
-    lo = max(phi, float(ts[0]))
-    i0 = int(np.searchsorted(ts, lo, side="left"))
-    i1 = int(np.searchsorted(ts, t, side="right")) - 1
-    nodes = [lo] + [float(x) for x in ts[i0:i1 + 1] if lo < float(x) < t] + [t]
-    u = np.interp(nodes, ts, trace.U)
-    hh = np.interp(nodes, ts, trace.H_hat)
-    gg = np.interp(nodes, ts, trace.G)
-    dn = 1.0 - hh * np.asarray(grad(gg)) * u
-    bad = np.nonzero(dn <= p.denom_floor)[0]
-    if bad.size:
-        t_bad = nodes[int(bad[0])]
-        raise FeasibilityError(
-            f"predictor denominator {dn[bad[0]]:.3e} at tau={t_bad:.6f}",
-            time=float(t_bad), trace=trace)
-    integrand = u / dn
-    h_now = float(np.interp(t, ts, trace.H_hat))
-    return h_now * float(np.trapezoid(integrand, nodes))
-
-
 # -- the simulation loop -------------------------------------------------------
+
+
+def _period_steps(p: EsParams) -> int:
+    """Steps in one dither period, the moving-average window length."""
+    return max(1, int(round(2.0 * math.pi / (p.omega * p.dt))))
 
 
 class SimState:
@@ -266,7 +175,7 @@ class SimState:
     __slots__ = ("p", "n", "n_steps", "t", "theta_hat", "U", "y_bar",
                  "times", "theta", "y", "G", "H_hat", "U_arr", "Gamma",
                  "phi", "margin", "cum_g", "cum_h", "integrand", "ctrap",
-                 "m_window", "aborted", "abort_reason", "rate_hits")
+                 "m_window", "aborted", "abort_reason")
 
     def __init__(self, p: EsParams):
         self.p = p
@@ -283,10 +192,9 @@ class SimState:
             setattr(self, name, np.zeros(n1))
         self.cum_g = np.zeros(n1 + 1)
         self.cum_h = np.zeros(n1 + 1)
-        self.m_window = max(1, int(round(2.0 * math.pi / (p.omega * p.dt))))
+        self.m_window = _period_steps(p)
         self.aborted = False
         self.abort_reason = ""
-        self.rate_hits = 0
 
     # retained theta_hat history is implicit: theta array carries it
 
@@ -333,7 +241,7 @@ def step(p: EsParams, state: SimState) -> SimState:
     else:
         y_w = y
 
-    td = phi if p.delay_aware_demod else t
+    td = phi if p.predictor_on else t
     m_sig = (2.0 / p.a) * math.sin(p.omega * td)
     n_sig = -(8.0 / (p.a * p.a)) * math.cos(2.0 * p.omega * td)
     g_raw = m_sig * y_w
@@ -357,7 +265,7 @@ def step(p: EsParams, state: SimState) -> SimState:
 
     gamma = 0.0
     if p.predictor_on:
-        if dn <= p.denom_floor:
+        if dn <= DENOM_FLOOR:
             state.aborted = True
             state.abort_reason = (f"feasibility: denominator {dn:.3e} "
                                   f"at t={t:.6f}")
@@ -366,17 +274,15 @@ def step(p: EsParams, state: SimState) -> SimState:
         if n > 0:
             state.ctrap[n] = state.ctrap[n - 1] + 0.5 * p.dt * (
                 state.integrand[n - 1] + state.integrand[n])
-        if phi < t:
+        if n > 0 and phi < t:
             lo_t = max(phi, 0.0)
-            j = int(lo_t / p.dt)
-            j = min(j, n - 1) if n > 0 else 0
+            j = min(int(lo_t / p.dt), n - 1)
             frac = lo_t / p.dt - j
-            if n > 0:
-                i_lo = state.integrand[j] + frac * (state.integrand[j + 1]
-                                                    - state.integrand[j])
-                partial = (state.times[j + 1] - lo_t) * 0.5 * (
-                    i_lo + state.integrand[j + 1])
-                gamma = h_est * (state.ctrap[n] - state.ctrap[j + 1] + partial)
+            i_lo = state.integrand[j] + frac * (state.integrand[j + 1]
+                                                - state.integrand[j])
+            partial = (state.times[j + 1] - lo_t) * 0.5 * (
+                i_lo + state.integrand[j + 1])
+            gamma = h_est * (state.ctrap[n] - state.ctrap[j + 1] + partial)
     state.Gamma[n] = gamma
 
     if n >= state.n_steps:
@@ -442,7 +348,7 @@ def _finalize(p: EsParams, state: SimState, n_have: int) -> EsTrace:
         flags["delay_rate_exceeded_fraction"] = frac
         flags["delay_rate_warning"] = bool(frac > 0.0)
     trace = EsTrace(params=p, times=times.copy(), theta=state.theta[sl].copy(),
-                    theta_hat=_theta_hat_series(p, state, n_have),
+                    theta_hat=state.theta[sl] - p.a * np.sin(p.omega * times),
                     y=state.y[sl].copy(), G=state.G[sl].copy(),
                     H_hat=state.H_hat[sl].copy(), U=state.U_arr[sl].copy(),
                     Gamma=state.Gamma[sl].copy(), phi_t=state.phi[sl].copy(),
@@ -450,10 +356,6 @@ def _finalize(p: EsParams, state: SimState, n_have: int) -> EsTrace:
                     flags=flags)
     trace.sigma_t = prediction_times(p, trace)
     return trace
-
-
-def _theta_hat_series(p: EsParams, state: SimState, n_have: int) -> np.ndarray:
-    return state.theta[:n_have] - p.a * np.sin(p.omega * state.times[:n_have])
 
 
 def prediction_times(p: EsParams, trace: EsTrace, tol: float = 1e-10,
@@ -516,6 +418,28 @@ class PdeDiag:
     boundary_max_err: float
 
 
+def _transport_grid(p: EsParams, trace: EsTrace, n_x: int, max_times: int,
+                    read: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signal carried along the delay interval, on a time-decimated grid.
+
+    Returns (idx, xs, grid) with grid[i, j] = read(phi(s)) at
+    s = t_i + xs[j] (sigma(t_i) - t_i), t_i = trace.times[idx[i]] and
+    phi(s) = s - D(theta(s)).
+    """
+    stride = max(1, len(trace.times) // max_times)
+    idx = np.arange(0, len(trace.times), stride)
+    ts = trace.times[idx]
+    sg = trace.sigma_t[idx]
+    xs = np.linspace(0.0, 1.0, n_x)
+    grid = np.empty((len(ts), n_x))
+    for col, x in enumerate(xs):
+        s = ts + x * (sg - ts)
+        th_s = trace.theta_at(s)
+        phi_s = s - np.asarray(p.delay_fn(th_s), dtype=float)
+        grid[:, col] = read(phi_s)
+    return idx, xs, grid
+
+
 def transport_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 21,
                          max_times: int = 400) -> PdeDiag:
     """Transport view alpha(x, t) = theta(phi(t + x (sigma(t) - t))).
@@ -524,17 +448,7 @@ def transport_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 21,
     alpha(1, t) = theta(t) and alpha(0, t) = theta(t - D(theta(t))) are
     evaluated at every stored time and the worst violation is reported.
     """
-    stride = max(1, len(trace.times) // max_times)
-    idx = np.arange(0, len(trace.times), stride)
-    ts = trace.times[idx]
-    sg = trace.sigma_t[idx]
-    xs = np.linspace(0.0, 1.0, n_x)
-    alpha = np.empty((len(ts), n_x))
-    for col, x in enumerate(xs):
-        s = ts + x * (sg - ts)
-        th_s = trace.theta_at(s)
-        phi_s = s - np.asarray(p.delay_fn(th_s), dtype=float)
-        alpha[:, col] = trace.theta_at(phi_s)
+    idx, xs, alpha = _transport_grid(p, trace, n_x, max_times, trace.theta_at)
 
     # inflow boundary via the prediction-time inversion, on the full grid
     th_sigma = trace.theta_at(trace.sigma_t)
@@ -542,7 +456,7 @@ def transport_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 21,
     err1 = float(np.max(np.abs(trace.theta_at(phi_of_sigma) - trace.theta)))
     # outflow boundary against the trace's own delayed time, decimated grid
     err0 = float(np.max(np.abs(alpha[:, 0] - trace.theta_at(trace.phi_t[idx]))))
-    return PdeDiag(xs, ts, alpha, max(err0, err1))
+    return PdeDiag(xs, trace.times[idx], alpha, max(err0, err1))
 
 
 def lyapunov_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 33,
@@ -557,7 +471,7 @@ def lyapunov_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 33,
     Returns (times, V, nonincreasing_after_transient) with a 5 percent
     ripple allowance.  Qualitative diagnostic only.
     """
-    m = max(1, int(round(2.0 * math.pi / (p.omega * p.dt))))
+    m = _period_steps(p)
     kern = np.ones(m) / m
     err_av = np.convolve(trace.theta_hat - p.theta_star, kern, mode="full")[:len(trace.times)]
     u_av_series = np.convolve(trace.U, kern, mode="full")[:len(trace.times)]
@@ -567,17 +481,9 @@ def lyapunov_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 33,
         out = np.where(tq <= 0.0, 0.0, np.interp(tq, trace.times, u_av_series))
         return out
 
-    stride = max(1, len(trace.times) // max_times)
-    idx = np.arange(0, len(trace.times), stride)
+    idx, xs, u_grid = _transport_grid(p, trace, n_x, max_times, u_at)
     ts = trace.times[idx]
     sg = trace.sigma_t[idx]
-    xs = np.linspace(0.0, 1.0, n_x)
-    u_grid = np.empty((len(ts), n_x))
-    for col, x in enumerate(xs):
-        s = ts + x * (sg - ts)
-        th_s = trace.theta_at(s)
-        phi_s = s - np.asarray(p.delay_fn(th_s), dtype=float)
-        u_grid[:, col] = u_at(phi_s)
     kh = p.k_gain * p.hessian
     cumint = np.concatenate([np.zeros((len(ts), 1)),
                              np.cumsum(0.5 * (u_grid[:, 1:] + u_grid[:, :-1])

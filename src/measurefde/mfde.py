@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .phase_space import EXP_WEIGHT, RegulatedFn, Weight, segment
+from .phase_space import EXP_WEIGHT, RegulatedFn, Weight, _ratio, segment
 from .stieltjes import Integrator, _sample, _simpson_rule
 
 
@@ -350,13 +350,12 @@ class HypothesisReport:
                 + (f" [{self.note}]" if self.note else ""))
 
 
-def _random_history(rng: np.random.Generator, dim: int, depth: float,
-                    scale: float = 1.0) -> RegulatedFn:
+def _random_history(rng: np.random.Generator, dim: int, depth: float) -> RegulatedFn:
     n = int(rng.integers(8, 24))
     thetas = np.sort(rng.uniform(-depth, 0.0, n - 2))
     thetas = np.concatenate([[-depth], thetas, [0.0]])
     thetas = np.unique(thetas)
-    vals = np.cumsum(rng.normal(0.0, scale / math.sqrt(len(thetas)),
+    vals = np.cumsum(rng.normal(0.0, 1.0 / math.sqrt(len(thetas)),
                                 (len(thetas), dim)), axis=0)
     return RegulatedFn.polyline(thetas, vals, tail_value=np.zeros(dim))
 
@@ -410,14 +409,14 @@ def check_bounds(p: MfdeProblem, n_samples: int = 20,
 
         lhs = np.linalg.norm(integrate(lambda s: p.f(s, psi), p.g, u1, u2, qc))
         rhs = float(integrate(lambda s: p.bounds.M_fn(s), p.g, u1, u2, qc)[0])
-        worst["pointwise (M)"] = max(worst["pointwise (M)"], _safe_ratio(lhs, rhs))
+        worst["pointwise (M)"] = max(worst["pointwise (M)"], _ratio(lhs, rhs))
 
         gap = history_gap_norm(psi, chi, p.weight)
         lhs = np.linalg.norm(integrate(
             lambda s: np.asarray(p.f(s, psi)) - np.asarray(p.f(s, chi)), p.g, u1, u2, qc))
         rhs = float(integrate(lambda s: p.bounds.L(s) * gap, p.g, u1, u2, qc)[0])
         worst["history-lipschitz (L)"] = max(worst["history-lipschitz (L)"],
-                                             _safe_ratio(lhs, rhs))
+                                             _ratio(lhs, rhs))
 
         a, b = np.sort(rng.uniform(p.t0, t_end, 2))
         xa = segment(x_rand, float(a), p.history_depth)
@@ -426,25 +425,17 @@ def check_bounds(p: MfdeProblem, n_samples: int = 20,
             lambda s: np.asarray(p.f(s, xa)) - np.asarray(p.f(s, xb)), p.g, u1, u2, qc))
         rhs = float(integrate(lambda s: p.bounds.L2(s) * abs(a - b), p.g, u1, u2, qc)[0])
         worst["shift-lipschitz (L2)"] = max(worst["shift-lipschitz (L2)"],
-                                            _safe_ratio(lhs, rhs))
+                                            _ratio(lhs, rhs))
 
         lhs = float(integrate(
             lambda s: abs(p.rho_delay(s, psi) - p.rho_delay(s, chi)), p.g, u1, u2, qc)[0])
         rhs = float(integrate(lambda s: p.bounds.L3(s) * gap, p.g, u1, u2, qc)[0])
         worst["delay-lipschitz (L3)"] = max(worst["delay-lipschitz (L3)"],
-                                            _safe_ratio(lhs, rhs))
+                                            _ratio(lhs, rhs))
 
     notes = {"shift-lipschitz (L2)": "sampled evidence only"}
     return [HypothesisReport(name, w, w <= 1.0 + 1e-7, notes.get(name, ""))
             for name, w in worst.items()]
-
-
-def _safe_ratio(lhs: float, rhs: float) -> float:
-    if lhs <= 1e-300:
-        return 0.0
-    if rhs <= 1e-300:
-        return math.inf
-    return float(lhs / rhs)
 
 
 # -- built-in worked example --------------------------------------------------

@@ -604,4 +604,4 @@ def _ratio(lhs: float, rhs: float) -> float:
         return 0.0
     if rhs <= 1e-300:
         return math.inf
-    return lhs / rhs
+    return float(lhs / rhs)
