@@ -206,12 +206,20 @@ def _summary_text(cfg: RunConfig, results: dict) -> str:
     return buf.getvalue()
 
 
+CSV_BLOCK_ROWS = 8192
+
+
 def _write_csv(path: str, header: str, columns) -> None:
+    """Columns as CSV rows, every value %.17g so it round-trips exactly."""
     arr = np.column_stack(columns)
+    row_fmt = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in arr:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        # block by block: one tolist() of a whole 200k-row trace would hold
+        # its every value as a Python float at once
+        for lo in range(0, len(arr), CSV_BLOCK_ROWS):
+            block = arr[lo:lo + CSV_BLOCK_ROWS].tolist()
+            fh.writelines([row_fmt % tuple(row) for row in block])
 
 
 # -- subcommand runners --------------------------------------------------------

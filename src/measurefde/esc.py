@@ -20,6 +20,7 @@ intact.  Setting washout = 0 disables both stages and uses the raw products.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,15 +43,24 @@ class AssumptionViolationError(RuntimeError):
     """The delayed-time inversion could not bracket a solution."""
 
 
+def _backend(theta):
+    """(math, theta) for a float, np.float64 included, and (np, array) for
+    anything else: the loop's scalar calls skip numpy's per-call overhead."""
+    if isinstance(theta, float):
+        return math, theta
+    return np, np.asarray(theta, dtype=float)
+
+
 def sin5sq_delay(theta):
     """Half of sin(5 theta)^2, the stock state-dependent delay."""
-    s = np.sin(5.0 * np.asarray(theta, dtype=float))
+    xp, th = _backend(theta)
+    s = xp.sin(5.0 * th)
     return 0.5 * s * s
 
 
 def sin5sq_delay_grad(theta):
-    th = np.asarray(theta, dtype=float)
-    return 5.0 * np.sin(5.0 * th) * np.cos(5.0 * th)
+    xp, th = _backend(theta)
+    return 5.0 * xp.sin(5.0 * th) * xp.cos(5.0 * th)
 
 
 def constant_delay(d0: float):
@@ -170,10 +180,14 @@ def _period_steps(p: EsParams) -> int:
 
 
 class SimState:
-    """Preallocated per-run buffers, advanced in place by step()."""
+    """Preallocated per-run buffers, advanced in place by step().
+
+    The buffers are array("d"): indexing one returns a Python float, so the
+    loop's arithmetic never passes through numpy scalars.
+    """
 
     __slots__ = ("p", "n", "n_steps", "t", "theta_hat", "U", "y_bar",
-                 "times", "theta", "y", "G", "H_hat", "U_arr", "Gamma",
+                 "theta", "y", "G", "H_hat", "U_arr", "Gamma",
                  "phi", "margin", "cum_g", "cum_h", "integrand", "ctrap",
                  "m_window", "aborted", "abort_reason")
 
@@ -186,12 +200,11 @@ class SimState:
         self.theta_hat = p.theta_hat0
         self.U = p.u0
         self.y_bar = None
-        self.times = np.arange(n1) * p.dt
         for name in ("theta", "y", "G", "H_hat", "U_arr", "Gamma",
                      "phi", "margin", "integrand", "ctrap"):
-            setattr(self, name, np.zeros(n1))
-        self.cum_g = np.zeros(n1 + 1)
-        self.cum_h = np.zeros(n1 + 1)
+            setattr(self, name, array("d", bytes(8 * n1)))
+        self.cum_g = array("d", bytes(8 * (n1 + 1)))
+        self.cum_h = array("d", bytes(8 * (n1 + 1)))
         self.m_window = _period_steps(p)
         self.aborted = False
         self.abort_reason = ""
@@ -204,10 +217,11 @@ def _theta_delayed(state: SimState, tau: float) -> float:
     if tau <= 0.0:
         return p.theta_hat0 + p.a * math.sin(p.omega * tau)
     j = int(tau / p.dt)
+    th = state.theta
     if j >= state.n:
-        return float(state.theta[state.n])
+        return th[state.n]
     frac = tau / p.dt - j
-    return float(state.theta[j] + frac * (state.theta[j + 1] - state.theta[j]))
+    return th[j] + frac * (th[j + 1] - th[j])
 
 
 def step(p: EsParams, state: SimState) -> SimState:
@@ -280,7 +294,7 @@ def step(p: EsParams, state: SimState) -> SimState:
             frac = lo_t / p.dt - j
             i_lo = state.integrand[j] + frac * (state.integrand[j + 1]
                                                 - state.integrand[j])
-            partial = (state.times[j + 1] - lo_t) * 0.5 * (
+            partial = ((j + 1) * p.dt - lo_t) * 0.5 * (
                 i_lo + state.integrand[j + 1])
             gamma = h_est * (state.ctrap[n] - state.ctrap[j + 1] + partial)
     state.Gamma[n] = gamma
@@ -335,9 +349,12 @@ def simulate(p: EsParams) -> EsTrace:
 
 
 def _finalize(p: EsParams, state: SimState, n_have: int) -> EsTrace:
-    sl = slice(0, n_have)
-    times = state.times[sl]
-    d_vals = times - state.phi[sl]
+    def view(buf):
+        return np.frombuffer(buf)[:n_have]
+
+    times = np.arange(n_have) * p.dt
+    theta, phi = view(state.theta), view(state.phi)
+    d_vals = times - phi
     flags: dict = {}
     if state.aborted:
         flags["diverged"] = state.abort_reason.startswith("divergence")
@@ -347,13 +364,12 @@ def _finalize(p: EsParams, state: SimState, n_have: int) -> EsTrace:
         frac = float(np.mean(np.abs(rate) >= 1.0))
         flags["delay_rate_exceeded_fraction"] = frac
         flags["delay_rate_warning"] = bool(frac > 0.0)
-    trace = EsTrace(params=p, times=times.copy(), theta=state.theta[sl].copy(),
-                    theta_hat=state.theta[sl] - p.a * np.sin(p.omega * times),
-                    y=state.y[sl].copy(), G=state.G[sl].copy(),
-                    H_hat=state.H_hat[sl].copy(), U=state.U_arr[sl].copy(),
-                    Gamma=state.Gamma[sl].copy(), phi_t=state.phi[sl].copy(),
-                    sigma_t=np.full(n_have, np.nan), feas_margin=state.margin[sl].copy(),
-                    flags=flags)
+    trace = EsTrace(params=p, times=times, theta=theta,
+                    theta_hat=theta - p.a * np.sin(p.omega * times),
+                    y=view(state.y), G=view(state.G), H_hat=view(state.H_hat),
+                    U=view(state.U_arr), Gamma=view(state.Gamma), phi_t=phi,
+                    sigma_t=np.full(n_have, np.nan),
+                    feas_margin=view(state.margin), flags=flags)
     trace.sigma_t = prediction_times(p, trace)
     return trace
 

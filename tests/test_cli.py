@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from measurefde.cli import main, parse_args
+from measurefde.cli import CSV_BLOCK_ROWS, _write_csv, main, parse_args
 
 
 def test_parse_defaults_filled():
@@ -82,6 +82,21 @@ def test_es_writes_trace_pde_and_summary(tmp_path, monkeypatch, capsys):
     pde_header = Path("es1_pde.csv").read_text().splitlines()[0]
     assert pde_header == "t,x,alpha"
     assert "[es]" in Path("es1_summary.txt").read_text()
+
+
+def test_write_csv_matches_per_value_formatter(tmp_path):
+    # more than two blocks, the last one partial
+    n = 2 * CSV_BLOCK_ROWS + 37
+    special = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1e300])
+    columns = (np.arange(n) * 1e-3, np.resize(special, n),
+               np.resize(special[::-1], n),
+               np.random.default_rng(0).standard_normal(n) * 1e5)
+    path = tmp_path / "out.csv"
+    _write_csv(str(path), "a,b,c,d", columns)
+    expected = "a,b,c,d\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n"
+        for row in np.column_stack(columns))
+    assert path.read_bytes() == expected.encode()
 
 
 def test_es_roundtrip_bit_identical(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measurefde.esc import (EsParams, EsTrace, FeasibilityError, SimState,
                             constant_delay, lyapunov_diagnostic,
@@ -77,9 +80,25 @@ def _frozen_trace(p, theta_const, n=4001):
 
 
 def test_dither_amplitudes_table1():
-    p = table1_params()
-    assert 8.0 / p.a ** 2 == pytest.approx(200.0)
-    assert 2.0 * math.pi / p.omega == pytest.approx(math.pi / 4.0)
+    # table-1 probe a = 0.2 at omega = 8; washout = 0 passes the raw
+    # demodulated products M*y and N*y through to G and H_hat
+    a, omega = 0.2, 8.0
+    tr = simulate(quick_params(a=a, omega=omega, k_gain=0.0, washout=0.0,
+                               t_end=2.0))
+    t = tr.times
+    assert tr.G == pytest.approx((2.0 / a) * np.sin(omega * t) * tr.y, rel=1e-12)
+    assert tr.H_hat == pytest.approx(
+        -(8.0 / a ** 2) * np.cos(2.0 * omega * t) * tr.y, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+def test_scalar_delay_kernels_match_array_path(theta):
+    for fn in (sin5sq_delay, sin5sq_delay_grad):
+        ref = fn(np.array([theta]))[0]
+        for arg in (theta, np.float64(theta), np.array(theta)):
+            np.testing.assert_array_max_ulp(fn(arg), ref, maxulp=1)
+        assert np.array_equal(fn([theta, theta]), fn(np.array([theta, theta])))
 
 
 def _frozen_output(**kw):
@@ -196,6 +215,24 @@ def test_first_step_probe_value():
     step(p, state)
     step(p, state)
     assert state.theta[1] == pytest.approx(p.a * math.sin(p.omega * p.dt), abs=1e-15)
+
+
+def test_loop_state_stays_python_float():
+    # numpy scalars in the loop cost most of simulate()'s time
+    p = table1_params(t_end=1.0)
+    state = SimState(p)
+    for _ in range(5):
+        step(p, state)
+    assert type(state.theta_hat) is float
+    assert type(state.U) is float
+    tr = simulate(p)
+    for f in dataclasses.fields(tr):
+        if f.name in ("params", "flags"):
+            continue
+        arr = getattr(tr, f.name)
+        assert arr.dtype == np.float64, f.name
+        assert arr.flags.writeable and arr.flags.c_contiguous, f.name
+        assert arr.shape == tr.times.shape, f.name
 
 
 def test_simulate_deterministic():
