@@ -5,11 +5,10 @@ periodic-averaging verification harness with an explicit error constant, and
 an extremum-seeking simulator with predictor feedback."""
 
 from .stieltjes import (Integrator, QuadConfig, GronwallReport, check_gronwall,
-                        gronwall_bound, integrate, refine_ladder)
+                        integrate, refine_ladder)
 from .phase_space import (EXP_WEIGHT, UNIFORM_WEIGHT, BoundCandidates,
                           RegulatedFn, Segment, Weight, check_memory_bounds,
-                          check_shift_bound, exp_weight_candidates,
-                          history_from_csv, history_to_csv, phase_norm,
+                          check_shift_bound, exp_weight_candidates, phase_norm,
                           segment, shift, truncate_shift)
 from .mfde import (MfdeProblem, ProblemBounds, Trajectory, check_bounds,
                    gamma_apply, residual, solve_picard, tanh_kernel_problem)
@@ -22,10 +21,10 @@ from .esc import (EsParams, EsTrace, PdeDiag, lyapunov_diagnostic, simulate,
 
 __all__ = [
     "Integrator", "QuadConfig", "GronwallReport", "check_gronwall",
-    "gronwall_bound", "integrate", "refine_ladder",
+    "integrate", "refine_ladder",
     "EXP_WEIGHT", "UNIFORM_WEIGHT", "BoundCandidates", "RegulatedFn", "Segment",
     "Weight", "check_memory_bounds", "check_shift_bound",
-    "exp_weight_candidates", "history_from_csv", "history_to_csv", "phase_norm",
+    "exp_weight_candidates", "phase_norm",
     "segment", "shift", "truncate_shift",
     "MfdeProblem", "ProblemBounds", "Trajectory", "check_bounds", "gamma_apply",
     "residual", "solve_picard", "tanh_kernel_problem",

@@ -319,7 +319,7 @@ def _es_params(cfg: RunConfig) -> esc.EsParams:
         if d0 < 0:
             raise UsageError("constant delay must be nonnegative")
         delay_fn = esc.constant_delay(d0)
-        delay_grad = lambda th: 0.0 * np.asarray(th, dtype=float)
+        delay_grad = lambda th: 0.0 * esc._backend(th)[1]
     else:
         raise UsageError(f"unknown delay {delay_id!r}")
     key_map = {"k": "k_gain", "c": "c", "a": "a", "omega": "omega",

@@ -64,8 +64,10 @@ def sin5sq_delay_grad(theta):
 
 
 def constant_delay(d0: float):
+    """D(theta) = d0: a float for a float theta, else an array of its shape."""
     def fn(theta):
-        return d0 * np.ones_like(np.asarray(theta, dtype=float))
+        xp, th = _backend(theta)
+        return d0 if xp is math else np.full(th.shape, d0)
     return fn
 
 

@@ -491,7 +491,7 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0,
         L3=lambda s: 1.0,
     )
     g = Integrator.identity() if not jumps \
-        else Integrator.with_jumps(lambda s: 1.0, tuple(jumps))
+        else Integrator.with_jumps(1.0, tuple(jumps))
     return MfdeProblem(f=f, rho_delay=rho, g=g, phi0=phi0,
                        t0=t0, sigma=sigma, bounds=bounds, tol=tol,
                        weight=EXP_WEIGHT, history_depth=depth)

@@ -454,53 +454,6 @@ def _truncate_window(phi: RegulatedFn, depth: float) -> RegulatedFn:
     return RegulatedFn(segs, tail, pv)
 
 
-def history_to_csv(phi: RegulatedFn, path) -> None:
-    """Serialize a scalar history as theta,value,left_limit,right_limit rows."""
-    if phi.dim != 1:
-        raise ValueError("CSV serialization supports scalar histories")
-    rows = []
-    for seg in phi.segments:
-        for th in seg.thetas:
-            th = float(th)
-            rows.append((th, float(phi(th)), float(phi.left_limit(th)[0]),
-                         float(phi.right_limit(th)[0])))
-    seen = set()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("theta,value,left_limit,right_limit\n")
-        for row in rows:
-            if row[0] in seen:
-                continue
-            seen.add(row[0])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def history_from_csv(path, tail_value=0.0) -> RegulatedFn:
-    """Rebuild a scalar history from theta,value,left_limit,right_limit rows."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    thetas = np.atleast_1d(data["theta"])
-    order = np.argsort(thetas)
-    thetas = thetas[order]
-    vals = np.atleast_1d(data["value"])[order]
-    left = np.atleast_1d(data["left_limit"])[order]
-    right = np.atleast_1d(data["right_limit"])[order]
-    segs: list[Segment] = []
-    pv: list[tuple[float, np.ndarray]] = []
-    cur_t = [thetas[0]]
-    cur_v = [right[0]]
-    for i in range(1, len(thetas)):
-        cur_t.append(thetas[i])
-        cur_v.append(left[i])
-        if vals[i] != left[i] and thetas[i] != 0.0:
-            pv.append((float(thetas[i]), np.array([vals[i]])))
-        if right[i] != left[i] and i < len(thetas) - 1:
-            segs.append(Segment(np.array(cur_t), np.array(cur_v)[:, None]))
-            cur_t, cur_v = [thetas[i]], [right[i]]
-    if vals[-1] != left[-1]:
-        pv.append((float(thetas[-1]), np.array([vals[-1]])))
-    segs.append(Segment(np.array(cur_t), np.array(cur_v)[:, None]))
-    return RegulatedFn(segs, tail_value, pv)
-
-
 # -- numeric checks of the phase-space bounding constants -------------------
 
 

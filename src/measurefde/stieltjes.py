@@ -1,23 +1,24 @@
 """Stieltjes integration against nondecreasing, left-continuous integrators.
 
 An integrator g is stored as an absolutely continuous part (a nonnegative
-density integrated from an anchor point) plus a finite sorted list of positive
-jumps.  g is left-continuous by convention: the value at a jump time excludes
-the jump, so g(t+) - g(t) equals the jump magnitude there.  Integrals of a
-regulated f against g pick up f(tau) * jump(tau) at every jump with
-a <= tau < b; the jump at b belongs to the interval to the right.
+density, either a constant or a callable) plus a finite sorted list of
+positive jumps, normalised so that g(0) = 0.  g is left-continuous by
+convention: the value at a jump time excludes the jump, so g(t+) - g(t)
+equals the jump magnitude there.  Integrals of a regulated f against g pick
+up f(tau) * jump(tau) at every jump with a <= tau < b; the jump at b belongs
+to the interval to the right.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+
+PANEL = 1.0 / 512.0        # max width of one Simpson panel
+CHUNK_PANELS = 2 ** 16     # panels per block of a long gap: memory stays flat
 
 
 class IntegratorDomainError(ValueError):
@@ -28,19 +29,11 @@ class IntegrandError(ValueError):
     """The integrand produced a non-finite sample."""
 
 
-def _zero(_s: float) -> float:
-    return 0.0
-
-
-def _one(_s: float) -> float:
-    return 1.0
-
-
 @dataclass(frozen=True)
 class QuadConfig:
     """Composite-quadrature settings for :func:`integrate`."""
 
-    base_mesh: float = 1.0 / 512.0   # max width of one Simpson panel
+    base_mesh: float = PANEL
 
     def __post_init__(self):
         if self.base_mesh <= 0:
@@ -52,96 +45,101 @@ DEFAULT_QUAD = QuadConfig()
 
 @dataclass(frozen=True)
 class Integrator:
-    """Nondecreasing, left-continuous function on the real line."""
+    """Nondecreasing, left-continuous function on the real line with g(0) = 0:
+    g(t) = int_0^t density + (jumps below t) - (jumps below 0).
 
-    anchor_time: float = 0.0
-    anchor_value: float = 0.0
-    density: Callable[[float], float] = _zero
+    The density is a nonnegative constant or a callable; a constant is
+    integrated in closed form.
+    """
+
+    density: float | Callable[[float], float] = 0.0
     jumps: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
+        if not callable(self.density):
+            c = float(self.density)
+            if not (math.isfinite(c) and c >= 0.0):
+                raise ValueError("a constant density must be finite and nonnegative")
+            object.__setattr__(self, "density", c)
         jumps = tuple((float(t), float(m)) for t, m in self.jumps)
         times = [t for t, _ in jumps]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("jump times must be strictly increasing")
         if any(m <= 0 for _, m in jumps):
             raise ValueError("jump magnitudes must be strictly positive")
+        times = np.array(times, dtype=float)
+        # cum[k]: the first k magnitudes, less those below 0 so that g(0) = 0
+        cum = np.concatenate(([0.0], np.cumsum([m for _, m in jumps])))
         object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "_jump_times", tuple(times))
+        object.__setattr__(self, "_jump_times", times)
+        object.__setattr__(self, "_jump_cum", cum - cum[np.searchsorted(times, 0.0)])
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def identity(cls) -> "Integrator":
         """g(t) = t."""
-        return cls(0.0, 0.0, _one, ())
+        return cls(1.0)
 
     @classmethod
     def pure_jumps(cls, jumps: Sequence[tuple[float, float]]) -> "Integrator":
-        return cls(0.0, 0.0, _zero, tuple(jumps))
+        return cls(0.0, tuple(jumps))
 
     @classmethod
-    def with_jumps(cls, density: Callable[[float], float],
+    def with_jumps(cls, density: float | Callable[[float], float],
                    jumps: Sequence[tuple[float, float]]) -> "Integrator":
-        return cls(0.0, 0.0, density, tuple(jumps))
+        return cls(density, tuple(jumps))
 
     # -- evaluation -----------------------------------------------------
-
-    def jump_sum_below(self, t: float) -> float:
-        """Sum of magnitudes of jumps strictly below t (left continuity)."""
-        idx = bisect_left(self._jump_times, t)
-        return math.fsum(m for _, m in self.jumps[:idx])
 
     def jumps_in(self, a: float, b: float) -> list[tuple[float, float]]:
         """Jumps with a <= tau < b (the ownership convention for [a, b])."""
         return [(t, m) for t, m in self.jumps if a <= t < b]
 
     def value_at(self, t: float) -> float:
-        """g(t) = anchor + integral of the density + jumps strictly below t."""
-        if t == self.anchor_time:
-            dens = 0.0
-        else:
-            with warnings.catch_warnings():
-                # roundoff chatter at the tight tolerance; accuracy is
-                # covered by the exactness tests
-                warnings.simplefilter("ignore", IntegrationWarning)
-                dens, _err = quad(self.density, self.anchor_time, t,
-                                  epsabs=1e-13, epsrel=1e-12, limit=200)
-        val = self.anchor_value + dens \
-            + self.jump_sum_below(t) - self.jump_sum_below(self.anchor_time)
-        if not math.isfinite(val):
-            raise IntegratorDomainError(f"integrator value at t={t} is not finite")
-        return val
+        """g(t): :meth:`values_at` at one point."""
+        return float(self.values_at(np.array([t]))[0])
 
-    def values_at(self, ts: np.ndarray, panel: float = 1.0 / 512.0) -> np.ndarray:
-        """Vectorised evaluation on a sorted grid (composite Simpson per gap)."""
+    def values_at(self, ts: np.ndarray) -> np.ndarray:
+        """g on a 1-D array of times in any order: density * t for a constant,
+        else composite Simpson over the gaps between the sorted times from 0."""
         ts = np.asarray(ts, dtype=float)
-        order = np.argsort(ts, kind="stable")
-        sorted_ts = ts[order]
-        pieces = np.empty_like(sorted_ts)
-        prev_t = self.anchor_time
-        acc = self.anchor_value - self.jump_sum_below(self.anchor_time)
-        for i, t in enumerate(sorted_ts):
-            acc += _simpson_density(self.density, prev_t, t, panel)
-            prev_t = t
-            pieces[i] = acc + self.jump_sum_below(t)
-        if not np.all(np.isfinite(pieces)):
+        if isinstance(self.density, float):
+            dens = self.density * ts
+        else:
+            dens = np.empty_like(ts)
+            acc, prev_t = 0.0, 0.0
+            for i in np.argsort(ts, kind="stable"):
+                t = float(ts[i])
+                acc += _simpson_density(self.density, prev_t, t)
+                dens[i] = acc
+                prev_t = t
+        out = dens + self._jump_cum[np.searchsorted(self._jump_times, ts, "left")]
+        if not np.all(np.isfinite(out)):
             raise IntegratorDomainError("integrator produced non-finite values")
-        out = np.empty_like(pieces)
-        out[order] = pieces
         return out
 
 
-def _simpson_density(density, a: float, b: float, panel: float) -> float:
-    """Signed integral of the density over [a, b], composite Simpson."""
+def _simpson_density(density, a: float, b: float) -> float:
+    """Signed integral of the density over [a, b], composite Simpson.
+
+    A gap wider than CHUNK_PANELS panels is summed block by block, so memory
+    does not grow with b - a; a gap that fits in one block uses exactly
+    ``_simpson_rule(a, b, n)``.
+    """
     if a == b:
         return 0.0
-    sign = 1.0
     if b < a:
-        a, b = b, a
-        sign = -1.0
-    xs, w = _simpson_rule(a, b, max(1, int(math.ceil((b - a) / panel))))
-    return sign * float(np.dot(w, _sample(density, xs)))
+        return -_simpson_density(density, b, a)
+    n = max(1, int(math.ceil((b - a) / PANEL)))
+    total = 0.0
+    for k0 in range(0, n, CHUNK_PANELS):
+        k1 = min(k0 + CHUNK_PANELS, n)
+        lo = a if k0 == 0 else a + (b - a) * (k0 / n)
+        hi = b if k1 == n else a + (b - a) * (k1 / n)
+        xs, w = _simpson_rule(lo, hi, k1 - k0)
+        total += float(np.dot(w, _sample(density, xs)))
+    return total
 
 
 def _simpson_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +153,9 @@ def _simpson_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _sample(fn, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar callable on an array, vectorised when possible."""
+    """Evaluate a constant, or a scalar callable (vectorised when possible)."""
+    if isinstance(fn, float):
+        return np.full(xs.shape, fn)
     try:
         out = np.asarray(fn(xs), dtype=float)
         if out.shape == xs.shape:
@@ -234,17 +234,6 @@ def refine_ladder(f, g: Integrator, a: float, b: float, levels: int,
         fx = np.stack([_as_vec(f(float(t))) for t in tags])
         out.append(np.einsum("i,ij->j", np.diff(gv), fx))
     return out
-
-
-def gronwall_bound(k: float, l: float, g: Integrator, a: float, xi: float) -> float:
-    """Explicit bound k * exp(l * (g(xi) - g(a))) for xi >= a."""
-    if xi < a:
-        raise ValueError("xi must satisfy xi >= a")
-    if k < 0 or l <= 0:
-        raise ValueError("need k >= 0 and l > 0")
-    if k == 0.0:
-        return 0.0
-    return k * math.exp(l * (g.value_at(xi) - g.value_at(a)))
 
 
 @dataclass(frozen=True)

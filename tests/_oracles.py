@@ -60,7 +60,7 @@ def march_heun(problem, step: float):
         hist = AbsHistory(s, times, vals, n, problem.phi0, problem.t0)
         r = problem.rho_delay(s, hist)
         delayed = AbsHistory(r, times, vals, n, problem.phi0, problem.t0)
-        return float(problem.f(s, delayed)) * float(problem.g.density(s))
+        return float(problem.f(s, delayed)) * float(problem.g.density)
 
     for i in range(n_steps):
         s = times[i]

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from measurefde.cli import CSV_BLOCK_ROWS, _write_csv, main, parse_args
+import measurefde
+from measurefde.cli import (CSV_BLOCK_ROWS, _es_params, _write_csv, main,
+                            parse_args)
 
 
 def test_parse_defaults_filled():
@@ -21,7 +26,6 @@ def test_parse_eps_list():
 def test_parse_preset_block():
     cfg = parse_args(["es", "--preset", "table1"])
     assert cfg.params["preset"] == "table1"
-    from measurefde.cli import _es_params
     p = _es_params(cfg)
     assert (p.k_gain, p.c, p.a, p.omega) == (0.2, 2.0, 0.2, 8.0)
     assert (p.theta_star, p.y_star, p.hessian) == (8.0, 64.0, -1.0)
@@ -151,3 +155,23 @@ def test_es_constant_delay_flag(tmp_path, monkeypatch, capsys):
     # constant delay: sigma - t = 0.25 everywhere
     assert np.allclose(data["sigma"] - data["t"], 0.25, atol=1e-8)
     assert np.allclose(data["t"] - data["phi"], 0.25, atol=1e-12)
+
+
+def test_constant_delay_kernels_keep_float_and_array_shape():
+    p = _es_params(parse_args(["es", "--delay", "const:0.25"]))
+    for fn, value in ((p.delay_fn, 0.25), (p.delay_grad, 0.0)):
+        out = fn(7.5)
+        assert type(out) is float and out == value
+        arr = fn(np.linspace(0.0, 1.0, 6).reshape(2, 3))
+        assert isinstance(arr, np.ndarray) and arr.shape == (2, 3)
+        assert np.all(arr == value)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(measurefde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, measurefde.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

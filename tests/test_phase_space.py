@@ -280,23 +280,3 @@ def test_doubling_search_certifies_scaled_constant():
     assert not rep.passed
     assert rep.certified
     assert rep.certified_scale >= 2.0
-
-
-# -- serialization ------------------------------------------------------------------
-
-
-def test_history_csv_roundtrip(tmp_path):
-    from measurefde.phase_space import Segment, history_from_csv, history_to_csv
-    segs = [Segment(np.array([-2.0, -1.5, -1.0]), np.array([[0.0], [0.5], [1.0]])),
-            Segment(np.array([-1.0, 0.0]), np.array([[2.0], [3.0]]))]
-    phi = RegulatedFn(segs, tail_value=0.0)
-    path = tmp_path / "hist.csv"
-    history_to_csv(phi, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "theta,value,left_limit,right_limit"
-    back = history_from_csv(path, tail_value=0.0)
-    probe = np.array([-1.9, -1.5, -1.2, -1.0, -0.99, -0.4, 0.0])
-    assert np.allclose(phi.eval(probe), back.eval(probe), atol=1e-12)
-    # the jump at -1 keeps both lateral limits
-    assert float(back.left_limit(-1.0)[0]) == pytest.approx(1.0)
-    assert float(back.right_limit(-1.0)[0]) == pytest.approx(2.0)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from measurefde.stieltjes import (Integrator, IntegrandError,
-                                  check_gronwall, gronwall_bound, integrate,
-                                  refine_ladder)
+                                  check_gronwall, integrate, refine_ladder)
 
 IDENTITY = Integrator.identity()
 
@@ -35,6 +35,55 @@ def test_integrator_validation():
         Integrator.pure_jumps([(0.5, 1.0), (0.5, 1.0)])
     with pytest.raises(ValueError):
         Integrator.pure_jumps([(1.0, 1.0), (0.5, 1.0)])
+    for density in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Integrator.with_jumps(density, [(0.5, 1.0)])
+
+
+DENSITIES = {"exp": np.exp, "square": lambda s: s * s,
+             "one_plus_cos2": lambda s: 1.0 + np.cos(s) ** 2}
+
+
+@pytest.mark.parametrize("jumps", [(), ((-0.4, 0.2), (0.3, 0.7), (1.1, 0.1))],
+                         ids=["no_jumps", "jumps"])
+@pytest.mark.parametrize("name", sorted(DENSITIES))
+def test_value_at_matches_quad_oracle(name, jumps):
+    # scipy's adaptive quad on the density plus the left-continuous jump sum,
+    # normalised to g(0) = 0
+    density = DENSITIES[name]
+    g = Integrator(density=density, jumps=jumps)
+    ts = [-0.7, -0.4, 0.0, 0.3, 0.3 + 1e-9, 1.1, 1.7, 2.0]
+    for t in ts:
+        dens, _ = quad(density, 0.0, t, epsabs=1e-14, epsrel=1e-13, limit=200)
+        jump = math.fsum(m for tau, m in jumps if tau < t) \
+            - math.fsum(m for tau, m in jumps if tau < 0.0)
+        assert g.value_at(t) == pytest.approx(dens + jump, abs=1e-12)
+    assert np.allclose(g.values_at(np.array(ts)), [g.value_at(t) for t in ts],
+                       rtol=0.0, atol=1e-12)
+
+
+def test_chunked_simpson_matches_single_block(monkeypatch):
+    from measurefde import stieltjes
+    g = Integrator(density=np.exp, jumps=((0.5, 1.0),))
+    ts = np.array([-1.3, 0.7, 2.0])
+    whole = g.values_at(ts)
+    monkeypatch.setattr(stieltjes, "CHUNK_PANELS", 7)
+    assert np.allclose(g.values_at(ts), whole, rtol=1e-14, atol=0.0)
+
+
+def test_constant_density_matches_constant_callable():
+    jumps = ((0.25, 0.5), (1.5, 2.0))
+    as_float = Integrator(density=2.5, jumps=jumps)
+    as_callable = Integrator(density=lambda s: 2.5 * np.ones_like(s), jumps=jumps)
+    ts = np.array([1.75, -0.3, 0.0, 0.25, 0.5, 1.5, 3.0])
+    # closed form against Simpson: equal up to the rounding of the weights
+    assert np.allclose(as_float.values_at(ts), as_callable.values_at(ts),
+                       rtol=1e-14, atol=0.0)
+    assert as_float.value_at(3.0) == 2.5 * 3.0 + 2.5
+    # the solvers sample the density at their own nodes: bit-identical there
+    f = lambda s: np.array([np.sin(s), s])
+    assert np.array_equal(integrate(f, as_float, -0.5, 2.0),
+                          integrate(f, as_callable, -0.5, 2.0))
 
 
 def test_constant_integrand_matches_value_difference():
@@ -108,26 +157,20 @@ def test_ladder_constant_once_jumps_separated():
 
 def test_gronwall_zero_initial_bound():
     for xi in (0.0, 0.5, 3.0):
-        assert gronwall_bound(0.0, 1.0, IDENTITY, 0.0, xi) == 0.0
+        rep = check_gronwall(lambda x: 0.0, 0.0, 1.0, IDENTITY, 0.0, xi)
+        assert rep.bound_values[-1] == 0.0
 
 
 def test_gronwall_identity_analytic():
-    assert gronwall_bound(1.0, 1.0, IDENTITY, 0.0, 1.0) \
-        == pytest.approx(math.e, rel=1e-12)
+    rep = check_gronwall(lambda x: 1.0, 1.0, 1.0, IDENTITY, 0.0, 1.0)
+    assert rep.bound_values[-1] == pytest.approx(math.e, rel=1e-12)
 
 
 def test_gronwall_with_jump():
     g = Integrator.with_jumps(lambda s: 1.0, [(0.5, 1.0)])
     # variation over [0, 1] is 2, so the bound is exp(4)
-    assert gronwall_bound(1.0, 2.0, g, 0.0, 1.0) \
-        == pytest.approx(math.exp(4.0), rel=1e-12)
-
-
-def test_gronwall_domain_checks():
-    with pytest.raises(ValueError):
-        gronwall_bound(1.0, 1.0, IDENTITY, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        gronwall_bound(-1.0, 1.0, IDENTITY, 0.0, 1.0)
+    rep = check_gronwall(lambda x: 1.0, 1.0, 2.0, g, 0.0, 1.0)
+    assert rep.bound_values[-1] == pytest.approx(math.exp(4.0), rel=1e-12)
 
 
 def test_check_gronwall_constant_psi_passes():
