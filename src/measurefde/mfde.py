@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .phase_space import EXP_WEIGHT, RegulatedFn, Weight, _ratio, segment
+from .phase_space import (EXP_WEIGHT, HistoryRangeError, RegulatedFn, Weight,
+                          _ratio, segment)
 from .stieltjes import Integrator, _sample, _simpson_rule
 
 
@@ -103,26 +104,39 @@ class Trajectory:
         return segment(self, t, max_depth)
 
     def value_at(self, t) -> np.ndarray:
-        """Left-continuous interpolation: on (t_i, t_{i+1}] the value runs from
-        the post-jump value at t_i to the stored value at t_{i+1}."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((len(ts), self.dim))
-        for n, tt in enumerate(ts):
-            if tt <= self.mesh[0]:
-                out[n] = self.values[0] if tt == self.mesh[0] \
-                    else np.atleast_1d(self.initial_history(tt - self.t0))
-                continue
-            j = int(np.searchsorted(self.mesh, tt, side="left"))
-            j = min(j, len(self.mesh) - 1)
-            if abs(self.mesh[j] - tt) <= 1e-12:
-                out[n] = self.values[j]
-                continue
-            j -= 1
-            span = self.mesh[j + 1] - self.mesh[j]
-            lam = (tt - self.mesh[j]) / span
-            out[n] = self.post_jump_values[j] + lam * (self.values[j + 1]
-                                                       - self.post_jump_values[j])
-        return out[0] if np.ndim(t) == 0 else out
+        """x at absolute times t: phi0(t - t0) at or below t0, the stored
+        left value within 1e-12 of a mesh node, and on (t_i, t_{i+1}] the
+        line from the post-jump value at t_i to the stored value at t_{i+1}.
+        Never returns memory shared with the value arrays."""
+        mesh, post = self.mesh, self.post_jump_values
+        if isinstance(t, float):  # one point: no index or mask arrays
+            if t <= self.t0:
+                return self.initial_history.eval(t - self.t0)
+            j = min(int(mesh.searchsorted(t)), len(mesh) - 1)
+            for node in (j, j - 1):
+                if abs(mesh[node] - t) <= 1e-12:
+                    return self.values[node].copy()
+            lam = (t - mesh[j - 1]) / (mesh[j] - mesh[j - 1])
+            return post[j - 1] + lam * (self.values[j] - post[j - 1])
+        ts = np.asarray(t, dtype=float)
+        flat = np.atleast_1d(ts)
+        past = flat <= self.t0
+        if past.all():  # tanh's lag reads mostly inside phi0: no mesh work
+            out = self.initial_history.eval(flat - self.t0)
+        else:
+            out = np.empty((len(flat), self.dim))
+            if past.any():
+                out[past] = self.initial_history.eval(flat[past] - self.t0)
+            tl = flat[~past]
+            j = np.minimum(mesh.searchsorted(tl), len(mesh) - 1)
+            lam = (tl - mesh[j - 1]) / (mesh[j] - mesh[j - 1])
+            live = post[j - 1] + lam[:, None] * (self.values[j] - post[j - 1])
+            for node in (j - 1, j):  # the right neighbour wins a double hit
+                hit = np.abs(mesh[node] - tl) <= 1e-12
+                if hit.any():
+                    live[hit] = self.values[node[hit]]
+            out[~past] = live
+        return out[0] if ts.ndim == 0 else out
 
     def sup_distance(self, other: "Trajectory") -> float:
         d1 = np.abs(self.values - other.values).max()
@@ -160,17 +174,44 @@ def initial_trajectory(p: MfdeProblem, mesh: np.ndarray,
     return Trajectory(mesh, vals, vals.copy(), p.phi0, p.t0)
 
 
+class _HistoryView:
+    """The history x_t as theta -> x(t + clip(theta, -depth, 0)), read
+    through Trajectory.value_at without building a RegulatedFn.  Valid only
+    while x is not written: f and rho_delay get it for the length of a call.
+    """
+
+    __slots__ = ("x", "t", "lo", "dim")
+
+    def __init__(self, x: Trajectory, t: float, depth: float | None):
+        end = float(x.mesh[-1])
+        if t > end + 1e-9:
+            raise HistoryRangeError(f"time {t} beyond computed range {end}")
+        if t < x.t0 + x.initial_history.window_start - 1e-12:
+            raise HistoryRangeError(
+                f"time {t} below the initial history window at {x.t0}")
+        self.x, self.t, self.dim = x, min(t, end), x.dim
+        self.lo = -math.inf if depth is None else -depth
+
+    def eval(self, theta) -> np.ndarray:
+        if isinstance(theta, float):
+            return self.x.value_at(self.t + min(max(theta, self.lo), 0.0))
+        return self.x.value_at(self.t + np.minimum(np.maximum(theta, self.lo), 0.0))
+
+    def __call__(self, theta):
+        res = self.eval(theta)
+        if self.dim == 1:
+            return float(res[0]) if res.ndim == 1 else res[:, 0]
+        return res
+
+
 def _delayed_rhs(p: MfdeProblem, x: Trajectory, s: float) -> tuple[list, float]:
     """Every f_k evaluated on the history at the delayed time, plus the
     delayed time."""
-    hist_s = segment(x, s, p.history_depth)
+    hist_s = _HistoryView(x, s, p.history_depth)
     r = float(p.rho_delay(s, hist_s))
     if r > s + 1e-9:
         raise HypothesisViolationError(f"rho({s}, x_s) = {r} exceeds s")
-    if abs(r - s) <= 1e-14:
-        hist_r = hist_s
-    else:
-        hist_r = segment(x, r, p.history_depth)
+    hist_r = hist_s if abs(r - s) <= 1e-14 else _HistoryView(x, r, p.history_depth)
     return [np.atleast_1d(np.asarray(f(s, hist_r), dtype=float))
             for f, _ in p.terms], r
 
@@ -312,9 +353,8 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
 
 def delayed_time_series(p: MfdeProblem, x: Trajectory) -> np.ndarray:
     out = np.empty(len(x.mesh))
-    for i, s in enumerate(x.mesh):
-        hist_s = segment(x, float(s), p.history_depth)
-        out[i] = float(p.rho_delay(float(s), hist_s))
+    for i, s in enumerate(x.mesh.tolist()):
+        out[i] = float(p.rho_delay(s, _HistoryView(x, s, p.history_depth)))
     return out
 
 

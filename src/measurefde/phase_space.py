@@ -131,9 +131,12 @@ class RegulatedFn:
         th = np.atleast_1d(th)
         out = np.empty((len(th), self.dim))
         tail_mask = th <= self._bounds[0]
-        out[tail_mask] = self.tail_value
-        active = ~tail_mask
-        if np.any(active):
+        if len(self.segments) == 1:  # one np.interp per dimension
+            seg = self.segments[0]
+            for d in range(self.dim):
+                out[:, d] = np.interp(th, seg.thetas, seg.values[:, d])
+        elif not tail_mask.all():
+            active = ~tail_mask
             ta = th[active]
             idx = np.searchsorted(self._bounds, ta, side="left")
             idx = np.clip(idx - 1, 0, len(self.segments) - 1)
@@ -144,6 +147,7 @@ class RegulatedFn:
                 for d in range(self.dim):
                     vals[m, d] = np.interp(ta[m], seg.thetas, seg.values[:, d])
             out[active] = vals
+        out[tail_mask] = self.tail_value
         for t_pv, v_pv in self.point_values:
             hit = th == t_pv
             if np.any(hit):
@@ -308,13 +312,6 @@ def _seg_nocheck(thetas: np.ndarray, values: np.ndarray) -> Segment:
     return seg
 
 
-def _interp_row(t: float, t_lo: float, t_hi: float,
-                v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
-    span = t_hi - t_lo
-    lam = 0.0 if span <= 0 else (t - t_lo) / span
-    return v_lo + lam * (v_hi - v_lo)
-
-
 def segment(traj, t: float, max_depth: float | None = None) -> RegulatedFn:
     """History window of a trajectory at time t (duck-typed trajectory).
 
@@ -354,17 +351,20 @@ def segment(traj, t: float, max_depth: float | None = None) -> RegulatedFn:
 
     if lo_time > t0:
         # window starts inside the trajectory: no initial-history part
+        # i_start >= 1 as lo_time > t0, and i_start = j + 1 when no node
+        # lies in [lo_time, t]
         i_start = int(np.searchsorted(mesh, lo_time, side="left"))
-        i_start = min(max(i_start, 1), j)
-        if mesh[i_start] - t <= cut + 1e-12:
+        below_hit = lo_time - mesh[i_start - 1] <= 1e-12
+        if below_hit:
+            i_start -= 1  # lo_time rounds onto the node below: start there
+        if below_hit or mesh[i_start] - t <= cut + 1e-12:
             thetas = mesh[i_start:j + 1] - t
             vals = values[i_start:j + 1]
             jump_rows = np.nonzero(
                 (post[i_start:j + 1] != values[i_start:j + 1]).any(axis=1))[0]
             tail = values[i_start]
         else:
-            start_val = _interp_row(lo_time, mesh[i_start - 1], mesh[i_start],
-                                    post[i_start - 1], values[i_start])
+            start_val = traj.value_at(lo_time)
             thetas = np.concatenate([[cut], mesh[i_start:j + 1] - t])
             vals = np.vstack([start_val[None, :], values[i_start:j + 1]])
             jump_rows = 1 + np.nonzero(
@@ -422,8 +422,7 @@ def segment(traj, t: float, max_depth: float | None = None) -> RegulatedFn:
         piece_t = piece_t.copy()
         piece_t[-1] = 0.0
     else:
-        jj = min(j + 1, len(mesh) - 1)
-        end_val = _interp_row(t, mesh[j], mesh[jj], post[j], values[jj])
+        end_val = traj.value_at(t)
         piece_t = np.concatenate([piece_t, [0.0]])
         piece_v = np.vstack([piece_v, end_val[None, :]])
     if len(piece_t) == 1:

@@ -121,25 +121,25 @@ class Integrator:
 
 
 def _simpson_density(density, a: float, b: float) -> float:
-    """Signed integral of the density over [a, b], composite Simpson.
-
-    A gap wider than CHUNK_PANELS panels is summed block by block, so memory
-    does not grow with b - a; a gap that fits in one block uses exactly
-    ``_simpson_rule(a, b, n)``.
-    """
+    """Signed integral of the density over [a, b], composite Simpson."""
     if a == b:
         return 0.0
     if b < a:
         return -_simpson_density(density, b, a)
     n = max(1, int(math.ceil((b - a) / PANEL)))
-    total = 0.0
+    return sum(float(np.dot(w, _sample(density, xs)))
+               for xs, w in _simpson_blocks(a, b, n))
+
+
+def _simpson_blocks(a: float, b: float, n: int):
+    """Composite Simpson nodes and weights for n panels on [a, b], yielded in
+    blocks of at most CHUNK_PANELS panels, so memory does not grow with
+    b - a; n <= CHUNK_PANELS yields exactly ``_simpson_rule(a, b, n)``."""
     for k0 in range(0, n, CHUNK_PANELS):
         k1 = min(k0 + CHUNK_PANELS, n)
         lo = a if k0 == 0 else a + (b - a) * (k0 / n)
         hi = b if k1 == n else a + (b - a) * (k1 / n)
-        xs, w = _simpson_rule(lo, hi, k1 - k0)
-        total += float(np.dot(w, _sample(density, xs)))
-    return total
+        yield _simpson_rule(lo, hi, k1 - k0)
 
 
 def _simpson_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +179,8 @@ def integrate(f: Callable[[float], object], g: Integrator, a: float, b: float,
 
     Composite Simpson of f * density on subintervals split at all jump times
     of g and at caller-declared breakpoints of f, plus sum of f(tau) * jump
-    over jumps with a <= tau < b.  a > b is handled by a sign flip.
+    over jumps with a <= tau < b.  a > b is handled by a sign flip.  f
+    returns a scalar or a vector of one fixed length.
     """
     if a > b:
         return -integrate(f, g, b, a, cfg, breakpoints)
@@ -199,17 +200,20 @@ def integrate(f: Callable[[float], object], g: Integrator, a: float, b: float,
 
 
 def _simpson_segment(f, density, a: float, b: float, panel: float) -> np.ndarray:
-    xs, w = _simpson_rule(a, b, max(1, int(math.ceil((b - a) / panel))))
-    dens = _sample(density, xs)
     # the segment ends sit on declared breakpoints or jump times, where a
     # regulated f may be discontinuous: sample its one-sided values there
     # (the point value at the breakpoint itself has no mass here)
     nudge = max(1e-13, 1e-12 * (b - a))
-    ends = [float(xs[0]) + nudge, float(xs[-1]) - nudge]
-    fx = np.stack([_as_vec(f(ends[0]))]
-                  + [_as_vec(f(float(x))) for x in xs[1:-1]]
-                  + [_as_vec(f(ends[1]))])
-    return np.einsum("i,i,ij->j", w, dens, fx)
+    total = 0.0
+    for xs, w in _simpson_blocks(a, b, max(1, int(math.ceil((b - a) / panel)))):
+        pts = xs.tolist()
+        if pts[0] == a:
+            pts[0] = a + nudge
+        if pts[-1] == b:
+            pts[-1] = b - nudge
+        fx = _as_vec([f(x) for x in pts]).reshape(len(pts), -1)
+        total = total + np.einsum("i,i,ij->j", w, _sample(density, xs), fx)
+    return total
 
 
 def refine_ladder(f, g: Integrator, a: float, b: float, levels: int,

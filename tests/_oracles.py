@@ -5,6 +5,9 @@ trapezoid (Heun) scheme on a fine fixed step, maintaining its own history
 buffer and interpolating it directly; it shares nothing with the Picard
 fixed-point path except the problem callables themselves.
 
+The trajectory oracle is the per-point loop Trajectory.value_at ran before
+it was vectorised, kept as a reference for the vectorised lookup.
+
 The extremum-seeking oracles recompute, from a finished trace, the delayed
 output, the prediction time and the predictor integral at a single time.
 They read the trace through EsTrace.theta_at and np.interp only, so they
@@ -41,6 +44,37 @@ class AbsHistory:
         if live.any():
             out[live] = np.interp(tq[live], self.times[:self.n], self.vals[:self.n])
         return float(out[0]) if scalar else out
+
+
+def trajectory_value_at(traj, t):
+    """Left-continuous interpolation, one point at a time: on (t_i, t_{i+1}]
+    the value runs from the post-jump value at t_i to the stored value at
+    t_{i+1}; at t_0 it is the stored value and below it the initial history.
+
+    Trajectory.value_at differs from this on purpose in two places.  Within
+    1e-12 above a node it returns the node's stored (left) value, since it
+    checks both neighbours for a mesh hit; this loop checks only the right
+    one and interpolates from the post-jump value.  At t == t0 it returns
+    phi0(0), where this loop returns values[0].
+    """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty((len(ts), traj.dim))
+    for n, tt in enumerate(ts):
+        if tt <= traj.mesh[0]:
+            out[n] = traj.values[0] if tt == traj.mesh[0] \
+                else np.atleast_1d(traj.initial_history(tt - traj.t0))
+            continue
+        j = int(np.searchsorted(traj.mesh, tt, side="left"))
+        j = min(j, len(traj.mesh) - 1)
+        if abs(traj.mesh[j] - tt) <= 1e-12:
+            out[n] = traj.values[j]
+            continue
+        j -= 1
+        span = traj.mesh[j + 1] - traj.mesh[j]
+        lam = (tt - traj.mesh[j]) / span
+        out[n] = traj.post_jump_values[j] + lam * (traj.values[j + 1]
+                                                   - traj.post_jump_values[j])
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def march_heun(problem, step: float):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from measurefde.mfde import MfdeProblem, ProblemBounds, Trajectory
 from measurefde.phase_space import (EXP_WEIGHT, UNIFORM_WEIGHT,
                                     HistoryRangeError, InfiniteNormError,
-                                    RegulatedFn, check_memory_bounds,
+                                    RegulatedFn, Segment, check_memory_bounds,
                                     check_shift_bound, exp_weight_candidates,
                                     phase_norm, segment, shift, truncate_shift)
 
@@ -169,11 +169,55 @@ def test_segment_depth_truncation():
     assert hist(0.0) == pytest.approx(10.0)
 
 
+def test_segment_depth_window_without_node_inside():
+    # no mesh node lies in [t - max_depth, t] = [1.25, 1.5]
+    phi0 = RegulatedFn.constant(0.0, window_start=-1.0)
+    traj = make_traj([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], phi0)
+    hist = segment(traj, 1.5, 0.25)
+    assert hist.window_start == -0.25
+    assert np.array_equal(hist.tail_value, traj.value_at(1.5 - 0.25))
+    assert hist(-1.0) == 1.25
+    assert hist(-0.1) == pytest.approx(1.4, abs=1e-15)
+
+
+@pytest.mark.parametrize("offset", [5e-13, -5e-13])
+def test_segment_depth_cut_within_mesh_hit_of_jump_node(offset):
+    # t - max_depth lies within 1e-12 of the jump node t = 1 (jump 1 -> 11)
+    phi0 = RegulatedFn.constant(0.0, window_start=-1.0)
+    traj = make_traj([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0], phi0,
+                     post=[0.0, 11.0, 2.0, 3.0])
+    hist = segment(traj, 2.5, 1.5 - offset)
+    for theta in (-1.4, -1.0, -0.7, -0.2):
+        # the first cell runs from the post-jump value, as value_at reads it
+        assert hist(theta) == pytest.approx(traj.value_at(2.5 + theta)[0], abs=1e-11)
+    assert hist(-1.4) == pytest.approx(10.1, abs=1e-11)
+    assert hist(-3.0) == 1.0    # below the window: the left value at the node
+
+
 def test_segment_beyond_range_errors():
     phi0 = RegulatedFn.constant(0.0, window_start=-1.0, tail_value=0.0)
     traj = make_traj([0.0, 1.0], [0.0, 1.0], phi0)
     with pytest.raises(HistoryRangeError):
         segment(traj, 1.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_single_segment_eval_matches_general_path(dim):
+    rng = np.random.default_rng(dim)
+    th = np.concatenate([[-2.0], np.sort(rng.uniform(-2.0, 0.0, 9)), [0.0]])
+    vals = rng.normal(0.0, 1.0, (len(th), dim))
+    tail = rng.normal(0.0, 1.0, dim) + 3.0
+    one = RegulatedFn.polyline(th, vals, tail_value=tail)
+    k = 5     # the same data as two contiguous segments meeting at th[k]
+    two = RegulatedFn([Segment(th[:k + 1], vals[:k + 1]),
+                       Segment(th[k:], vals[k:])], tail)
+    assert len(one.segments) == 1 and len(two.segments) == 2
+    pts = np.concatenate([[-2.0, 0.0, -3.0, -2.0 - 1e-12, 0.5], th,
+                          rng.uniform(-2.5, 0.0, 40)])
+    assert np.array_equal(one.eval(pts), two.eval(pts))
+    for p in pts:
+        assert np.array_equal(one.eval(p), two.eval(p))
+    assert np.array_equal(one.eval(-3.0), tail)
 
 
 # -- norm axioms as properties ----------------------------------------------------

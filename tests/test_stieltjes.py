@@ -71,6 +71,31 @@ def test_chunked_simpson_matches_single_block(monkeypatch):
     assert np.allclose(g.values_at(ts), whole, rtol=1e-14, atol=0.0)
 
 
+def test_integrate_memory_flat_over_long_segment(monkeypatch):
+    import tracemalloc
+
+    from measurefde import stieltjes
+    monkeypatch.setattr(stieltjes, "CHUNK_PANELS", 1024)
+    tracemalloc.start()
+    try:
+        val = integrate(lambda s: 1.0, Integrator.identity(), 0.0, 200.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert float(val[0]) == pytest.approx(200.0, rel=1e-13)
+    assert peak < 10 * 2**20       # 102,400 panels in one block: 85 MiB
+
+
+def test_integrate_in_blocks_matches_single_block(monkeypatch):
+    from measurefde import stieltjes
+    f = lambda s: 2.0 + math.cos(s)
+    g = Integrator(density=lambda s: 1.0 + 0.5 * np.sin(s), jumps=((5.0, 1.0),))
+    monkeypatch.setattr(stieltjes, "CHUNK_PANELS", 10**9)
+    whole = integrate(f, g, 0.0, 20.0)
+    monkeypatch.setattr(stieltjes, "CHUNK_PANELS", 1024)
+    assert np.allclose(integrate(f, g, 0.0, 20.0), whole, rtol=1e-14, atol=0.0)
+
+
 def test_constant_density_matches_constant_callable():
     jumps = ((0.25, 0.5), (1.5, 2.0))
     as_float = Integrator(density=2.5, jumps=jumps)
