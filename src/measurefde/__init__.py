@@ -9,12 +9,12 @@ from .stieltjes import (Integrator, QuadConfig, GronwallReport, check_gronwall,
 from .phase_space import (EXP_WEIGHT, UNIFORM_WEIGHT, BoundCandidates,
                           RegulatedFn, Segment, Weight, check_memory_bounds,
                           check_shift_bound, exp_weight_candidates, phase_norm,
-                          segment, shift, truncate_shift)
+                          segment, shift)
 from .mfde import (MfdeProblem, ProblemBounds, Trajectory, check_bounds,
                    gamma_apply, residual, solve_picard, tanh_kernel_problem)
-from .averaging import (AvgProblem, AvgReport, averaged_rhs, compare,
-                        error_constant, linear_periodic_problem, sine_problem,
-                        solve_averaged, solve_original)
+from .averaging import (AvgProblem, AvgReport, compare, error_constant,
+                        linear_periodic_problem, sine_problem, solve_averaged,
+                        solve_original)
 from .esc import (EsParams, EsTrace, PdeDiag, lyapunov_diagnostic, simulate,
                   static_map, step, table1_params, tail_metrics,
                   transport_diagnostic)
@@ -25,10 +25,10 @@ __all__ = [
     "EXP_WEIGHT", "UNIFORM_WEIGHT", "BoundCandidates", "RegulatedFn", "Segment",
     "Weight", "check_memory_bounds", "check_shift_bound",
     "exp_weight_candidates", "phase_norm",
-    "segment", "shift", "truncate_shift",
+    "segment", "shift",
     "MfdeProblem", "ProblemBounds", "Trajectory", "check_bounds", "gamma_apply",
     "residual", "solve_picard", "tanh_kernel_problem",
-    "AvgProblem", "AvgReport", "averaged_rhs", "compare", "error_constant",
+    "AvgProblem", "AvgReport", "compare", "error_constant",
     "linear_periodic_problem", "sine_problem", "solve_averaged",
     "solve_original",
     "EsParams", "EsTrace", "PdeDiag", "lyapunov_diagnostic", "simulate",

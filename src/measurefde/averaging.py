@@ -18,7 +18,7 @@ import numpy as np
 from .mfde import (MfdeProblem, ProblemBounds, Trajectory, _random_history,
                    solve_picard)
 from .phase_space import UNIFORM_WEIGHT, RegulatedFn, Weight
-from .stieltjes import Integrator, integrate, _sample, _simpson_rule
+from .stieltjes import Integrator, _sample, _simpson_rule
 
 
 class AvgConditionError(ValueError):
@@ -122,11 +122,6 @@ def check_problem(p: AvgProblem, n_samples: int = 12, seed: int = 0,
 
 
 # -- the averaged right-hand side --------------------------------------------
-
-
-def averaged_rhs(p: AvgProblem, psi: RegulatedFn) -> np.ndarray:
-    """Time average (1/T) int_0^T f(s, psi) dh(s) for a frozen history."""
-    return integrate(lambda s: p.f(s, psi), p.h, 0.0, p.T) / p.T
 
 
 def make_averaged_rule(p: AvgProblem, n_panels: int = 64):

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .phase_space import (EXP_WEIGHT, HistoryRangeError, RegulatedFn, Weight,
-                          _ratio, segment)
+from .phase_space import (_MESH_HIT, EXP_WEIGHT, HistoryRangeError,
+                          RegulatedFn, Weight, _ratio, segment)
 from .stieltjes import Integrator, _sample, _simpson_rule
 
 
@@ -81,9 +81,9 @@ class Trajectory:
 
     The stored value at a jump time is the left value; the post-jump value
     sits alongside, so the trajectory is left-continuous and jumps to the
-    right of each jump time of g.  Histories returned by history_at share
-    storage with the value arrays: treat a trajectory as frozen once the
-    solver hands it back.
+    right of each jump time of g.  Histories returned by history_at are
+    built from copies and share no storage with the value arrays; at t0
+    without a depth cut it is the initial history itself.
     """
 
     mesh: np.ndarray
@@ -105,16 +105,16 @@ class Trajectory:
 
     def value_at(self, t) -> np.ndarray:
         """x at absolute times t: phi0(t - t0) at or below t0, the stored
-        left value within 1e-12 of a mesh node, and on (t_i, t_{i+1}] the
-        line from the post-jump value at t_i to the stored value at t_{i+1}.
-        Never returns memory shared with the value arrays."""
+        left value within _MESH_HIT of a mesh node, and on (t_i, t_{i+1}]
+        the line from the post-jump value at t_i to the stored value at
+        t_{i+1}.  Never returns memory shared with the value arrays."""
         mesh, post = self.mesh, self.post_jump_values
         if isinstance(t, float):  # one point: no index or mask arrays
             if t <= self.t0:
                 return self.initial_history.eval(t - self.t0)
             j = min(int(mesh.searchsorted(t)), len(mesh) - 1)
             for node in (j, j - 1):
-                if abs(mesh[node] - t) <= 1e-12:
+                if abs(mesh[node] - t) <= _MESH_HIT:
                     return self.values[node].copy()
             lam = (t - mesh[j - 1]) / (mesh[j] - mesh[j - 1])
             return post[j - 1] + lam * (self.values[j] - post[j - 1])
@@ -132,7 +132,7 @@ class Trajectory:
             lam = (tl - mesh[j - 1]) / (mesh[j] - mesh[j - 1])
             live = post[j - 1] + lam[:, None] * (self.values[j] - post[j - 1])
             for node in (j - 1, j):  # the right neighbour wins a double hit
-                hit = np.abs(mesh[node] - tl) <= 1e-12
+                hit = np.abs(mesh[node] - tl) <= _MESH_HIT
                 if hit.any():
                     live[hit] = self.values[node[hit]]
             out[~past] = live
@@ -248,8 +248,10 @@ def _advance(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
         f_right, _ = _delayed_rhs(p, x, float(mesh[j + 1]))
         if any_jump[j]:
             # density integrand over (t_j, t_{j+1}) starts from the
-            # post-jump history; the jump atoms themselves use the left value
-            f_post, _ = _delayed_rhs(p, x, float(mesh[j]) + 1e-9 * h)
+            # post-jump history, read clear of the node's mesh hit; the
+            # jump atoms themselves use the left value
+            t_post = float(mesh[j]) + max(1e-9 * h, 10 * _MESH_HIT)
+            f_post, _ = _delayed_rhs(p, x, t_post)
         else:
             f_post = f_left
         inc = reduce(operator.add, [
@@ -273,7 +275,7 @@ def _mesh_caches(p: MfdeProblem, mesh: np.ndarray) -> tuple[list, np.ndarray]:
     for _, g in p.terms:
         jump_at = np.zeros(len(mesh))
         for t, m in g.jumps:
-            hits = np.nonzero(np.abs(mesh - t) <= 1e-12)[0]
+            hits = np.nonzero(np.abs(mesh - t) <= _MESH_HIT)[0]
             if hits.size:
                 jump_at[hits[0]] = m
         caches.append((_sample(g.density, mesh), _sample(g.density, mids), jump_at))

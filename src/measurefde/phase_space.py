@@ -16,6 +16,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+# a time this close to a trajectory's mesh node reads the node's stored
+# (left) value
+_MESH_HIT = 1e-12
+
+
 class PhaseSpaceError(ValueError):
     pass
 
@@ -264,193 +269,62 @@ def shift(phi: RegulatedFn, t: float) -> RegulatedFn:
     return RegulatedFn(segs, phi.tail_value, pv)
 
 
-def truncate_shift(phi: RegulatedFn, s: float) -> RegulatedFn:
-    """History seen from s time units earlier: theta -> phi(theta + s), s <= 0.
-
-    Discards the part of phi above s.  s below the window start is not
-    representable and raises.
-    """
-    if s > 0:
-        raise ValueError("truncate_shift requires s <= 0")
-    if s == 0.0:
-        return phi
-    if s < phi.window_start - 1e-12:
-        raise HistoryRangeError(
-            f"time offset {s} below representable window start {phi.window_start}")
-    segs = []
-    for seg in phi.segments:
-        if seg.thetas[0] >= s:
-            break
-        if seg.thetas[-1] <= s:
-            segs.append(Segment(seg.thetas - s, seg.values.copy()))
-        else:
-            keep = seg.thetas < s
-            t_cut = np.append(seg.thetas[keep], s)
-            end_val = np.atleast_1d(np.array(
-                [np.interp(s, seg.thetas, seg.values[:, d]) for d in range(phi.dim)]))
-            v_cut = np.vstack([seg.values[keep], end_val[None, :]])
-            segs.append(Segment(t_cut - s, v_cut))
-    pv = [(pt - s, v) for pt, v in phi.point_values if pt < s]
-    cut_val = np.atleast_1d(phi.eval(s))
-    if not segs:
-        # s coincides with the window start: constant tail window
-        w = min(-1.0, phi.window_start)
-        segs = [Segment(np.array([w, 0.0]), np.stack([phi.tail_value, phi.tail_value]))]
-        if not np.array_equal(cut_val, phi.tail_value):
-            pv.append((0.0, cut_val))
-        return RegulatedFn(segs, phi.tail_value, pv)
-    if not np.array_equal(cut_val, segs[-1].values[-1]):
-        pv.append((0.0, cut_val))
-    return RegulatedFn(segs, phi.tail_value, pv)
-
-
-def _seg_nocheck(thetas: np.ndarray, values: np.ndarray) -> Segment:
-    """Segment constructor for hot paths with known-valid inputs."""
-    seg = object.__new__(Segment)
-    object.__setattr__(seg, "thetas", thetas)
-    object.__setattr__(seg, "values", values)
-    return seg
-
-
 def segment(traj, t: float, max_depth: float | None = None) -> RegulatedFn:
-    """History window of a trajectory at time t (duck-typed trajectory).
+    """History x_t of a trajectory, theta -> x(t + theta), valued by the
+    rule of traj.value_at (duck-typed trajectory).
 
-    Splices stored trajectory values (for times in (t0, t]) with the initial
-    history below t0.  Discontinuities appear only at jump times, where the
-    stored value is the left value and the post-jump value opens the next
-    piece.  max_depth truncates the window to [-max_depth, 0] with a frozen
-    tail, for solvers that declare a finite memory depth.
+    The pieces are phi0's segments shifted by t0 - t, then the trajectory's
+    cells up to t, split at jump rows: the stored (left) value ends a piece
+    and the post-jump value opens the next.  A jump exactly at t belongs to
+    the future.  max_depth clips the window to [-max_depth, 0] and freezes
+    x(t - max_depth) as the tail, for solvers that declare a finite memory
+    depth.
     """
-    t0 = traj.t0
-    phi0: RegulatedFn = traj.initial_history
-    if t < t0 - 1e-12:
-        out = truncate_shift(phi0, t - t0)
-        if max_depth is not None and out.window_start < -max_depth:
-            out = _truncate_window(out, max_depth)
-        return out
-    mesh = traj.mesh
+    t0, phi0, mesh = traj.t0, traj.initial_history, traj.mesh
     if t > mesh[-1] + 1e-9:
         raise HistoryRangeError(f"time {t} beyond computed range {mesh[-1]}")
+    if t < t0 + phi0.window_start - 1e-12:
+        raise HistoryRangeError(f"time {t} below the initial history window at {t0}")
+    depth = math.inf if max_depth is None else max_depth
+    if abs(t - t0) <= _MESH_HIT:
+        if -depth <= phi0.window_start:
+            return phi0
+        t = t0
     t = min(t, float(mesh[-1]))
-    if abs(t - t0) <= 1e-12:
-        if max_depth is not None and phi0.window_start < -max_depth:
-            return _truncate_window(phi0, max_depth)
-        return phi0
-
-    values = traj.values
-    post = traj.post_jump_values
-    j = int(np.searchsorted(mesh, t, side="right")) - 1
-    j = min(max(j, 0), len(mesh) - 1)
-    exact_end = abs(mesh[j] - t) <= 1e-12
-
-    cut = -max_depth if max_depth is not None else -math.inf
-    lo_time = t + cut
-    segs: list[Segment] = []
-    pv: list[tuple[float, np.ndarray]] = []
-    tail = phi0.tail_value
-
-    if lo_time > t0:
-        # window starts inside the trajectory: no initial-history part
-        # i_start >= 1 as lo_time > t0, and i_start = j + 1 when no node
-        # lies in [lo_time, t]
-        i_start = int(np.searchsorted(mesh, lo_time, side="left"))
-        below_hit = lo_time - mesh[i_start - 1] <= 1e-12
-        if below_hit:
-            i_start -= 1  # lo_time rounds onto the node below: start there
-        if below_hit or mesh[i_start] - t <= cut + 1e-12:
-            thetas = mesh[i_start:j + 1] - t
-            vals = values[i_start:j + 1]
-            jump_rows = np.nonzero(
-                (post[i_start:j + 1] != values[i_start:j + 1]).any(axis=1))[0]
-            tail = values[i_start]
-        else:
-            start_val = traj.value_at(lo_time)
-            thetas = np.concatenate([[cut], mesh[i_start:j + 1] - t])
-            vals = np.vstack([start_val[None, :], values[i_start:j + 1]])
-            jump_rows = 1 + np.nonzero(
-                (post[i_start:j + 1] != values[i_start:j + 1]).any(axis=1))[0]
-            tail = start_val
-        mesh_rows = np.arange(i_start - 1, j + 1)[-len(thetas):]
-    else:
-        thetas = mesh[:j + 1] - t
-        vals = values[:j + 1]
-        jump_rows = np.nonzero((post[:j + 1] != values[:j + 1]).any(axis=1))[0]
-        mesh_rows = np.arange(0, j + 1)
-        offset = t0 - t
-        for seg_ in phi0.segments:
-            th = seg_.thetas + offset
-            sv = seg_.values
-            if th[-1] <= cut:
-                continue
-            if th[0] < cut:
-                k = int(np.searchsorted(th, cut, side="right"))
-                start_val = np.array([np.interp(cut, th, sv[:, d])
-                                      for d in range(sv.shape[1])])
-                th = np.concatenate([[cut], th[k:]])
-                sv = np.vstack([start_val[None, :], sv[k:]])
-                tail = start_val
-            segs.append(_seg_nocheck(th, sv))
-        pv.extend((pt + offset, v) for pt, v in phi0.point_values
-                  if pt < 0.0 and pt + offset > cut)
-        for pt, v in phi0.point_values:
-            if pt == 0.0:
-                pv.append((offset, v))  # junction keeps the value phi(0) = x(t0)
-
-    # split the trajectory part at jump rows (stored value is the left value,
-    # the post-jump value reopens the next piece)
-    start_row = 0
-    override = None
-    for jr in jump_rows:
-        if jr >= len(thetas) - 1 and exact_end:
-            break  # jump exactly at t belongs to the future
-        if jr > start_row:
-            piece_t = thetas[start_row:jr + 1]
-            piece_v = vals[start_row:jr + 1]
-            if override is not None:
-                piece_v = piece_v.copy()
-                piece_v[0] = override
-            segs.append(_seg_nocheck(piece_t, piece_v))
-        start_row = jr
-        override = post[mesh_rows[jr]]
-
-    piece_t = thetas[start_row:]
-    piece_v = vals[start_row:]
-    if override is not None:
-        piece_v = piece_v.copy()
-        piece_v[0] = override
-    if exact_end:
-        piece_t = piece_t.copy()
-        piece_t[-1] = 0.0
-    else:
-        end_val = traj.value_at(t)
-        piece_t = np.concatenate([piece_t, [0.0]])
-        piece_v = np.vstack([piece_v, end_val[None, :]])
-    if len(piece_t) == 1:
-        piece_t = np.array([piece_t[0] - 1e-12, 0.0])
-        piece_v = np.vstack([piece_v, piece_v])
-    segs.append(_seg_nocheck(piece_t, piece_v))
+    reach = t0 + phi0.window_start - t
+    lo = max(-depth, reach)
+    end = traj.value_at(t)
+    pieces = [(s.thetas + (t0 - t), s.values) for s in phi0.segments]
+    # trajectory nodes from the one at or below t + lo to the last below t
+    # (a mesh hit at t is left out); before t0 there are none
+    i = max(int(mesh.searchsorted(t + lo, side="right")) - 1, 0)
+    k = int(mesh.searchsorted(t - _MESH_HIT))
+    th = np.append(mesh[i:k] - t, 0.0)
+    left = np.vstack([traj.values[i:k], end])
+    right = np.vstack([traj.post_jump_values[i:k], end])
+    jumps = 1 + np.flatnonzero((left[1:-1] != right[1:-1]).any(axis=1))
+    cuts = [0, *jumps.tolist(), len(th) - 1]
+    pieces += [(th[a:b + 1], np.vstack([right[a], left[a + 1:b + 1]]))
+               for a, b in zip(cuts, cuts[1:])]
+    segs = [Segment(*c) for c in (_clip(th, v, lo) for th, v in pieces) if c]
+    tail = phi0.tail_value if lo == reach else traj.value_at(t + lo)
+    if not segs:  # t at phi0's window start: only the tail is left
+        segs = [Segment(np.array([-1.0, 0.0]), np.stack([tail, tail]))]
+    pv = [(pt + t0 - t, v) for pt, v in phi0.point_values
+          if lo < pt + t0 - t < 0.0]
+    if not np.array_equal(segs[-1].values[-1], end):
+        pv.append((0.0, end))
     return RegulatedFn(segs, tail, pv)
 
 
-def _truncate_window(phi: RegulatedFn, depth: float) -> RegulatedFn:
-    """Restrict the active window to [-depth, 0], freezing the cut value as tail."""
-    cut = -depth
-    segs = []
-    for seg in phi.segments:
-        if seg.thetas[-1] <= cut:
-            continue
-        if seg.thetas[0] >= cut:
-            segs.append(seg)
-        else:
-            m = seg.thetas > cut
-            start_val = np.array([np.interp(cut, seg.thetas, seg.values[:, d])
-                                  for d in range(phi.dim)])
-            t_new = np.concatenate([[cut], seg.thetas[m]])
-            v_new = np.vstack([start_val[None, :], seg.values[m]])
-            segs.append(Segment(t_new, v_new))
-    tail = np.atleast_1d(phi.eval(cut))
-    pv = [(t, v) for t, v in phi.point_values if t > cut]
-    return RegulatedFn(segs, tail, pv)
+def _clip(thetas: np.ndarray, values: np.ndarray, lo: float):
+    """A piece restricted to [lo, 0], interpolated inside the piece at a
+    cut end; None when no part of positive length is left."""
+    a, b = max(thetas[0], lo), min(thetas[-1], 0.0)
+    if a >= b:
+        return None
+    th = np.concatenate([[a], thetas[(thetas > a) & (thetas < b)], [b]])
+    return th, np.stack([np.interp(th, thetas, col) for col in values.T], axis=1)
 
 
 # -- numeric checks of the phase-space bounding constants -------------------

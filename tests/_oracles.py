@@ -5,6 +5,9 @@ trapezoid (Heun) scheme on a fine fixed step, maintaining its own history
 buffer and interpolating it directly; it shares nothing with the Picard
 fixed-point path except the problem callables themselves.
 
+The averaged right-hand side oracle computes f0 with the adaptive
+integrate, as a reference for the fixed rule of make_averaged_rule.
+
 The trajectory oracle is the per-point loop Trajectory.value_at ran before
 it was vectorised, kept as a reference for the vectorised lookup.
 
@@ -21,6 +24,7 @@ import numpy as np
 
 from measurefde.esc import (DENOM_FLOOR, AssumptionViolationError,
                             FeasibilityError, static_map)
+from measurefde.stieltjes import integrate
 
 
 class AbsHistory:
@@ -44,6 +48,11 @@ class AbsHistory:
         if live.any():
             out[live] = np.interp(tq[live], self.times[:self.n], self.vals[:self.n])
         return float(out[0]) if scalar else out
+
+
+def averaged_rhs(p, psi) -> np.ndarray:
+    """Time average (1/T) int_0^T f(s, psi) dh(s) for a frozen history."""
+    return integrate(lambda s: p.f(s, psi), p.h, 0.0, p.T) / p.T
 
 
 def trajectory_value_at(traj, t):

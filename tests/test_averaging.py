@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _oracles import averaged_rhs
 from measurefde.averaging import (AvgConditionError, _original_problem,
-                                  averaged_rhs, check_problem, compare,
-                                  error_constant, estimate_constants,
-                                  linear_periodic_problem, make_averaged_rule,
-                                  sine_problem, solve_averaged, solve_original,
+                                  check_problem, compare, error_constant,
+                                  estimate_constants, linear_periodic_problem,
+                                  make_averaged_rule, sine_problem,
+                                  solve_averaged, solve_original,
                                   sup_difference)
 from measurefde.mfde import HypothesisViolationError, residual
 from measurefde.phase_space import RegulatedFn

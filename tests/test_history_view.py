@@ -46,13 +46,18 @@ def discontinuities(x):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(0, 4),
-       st.sampled_from([None, 0.07, 0.4, 1.5, 6.0]), st.booleans())
+       st.sampled_from([None, 0.07, 0.4, 1.5, 6.0, "t0", "node"]), st.booleans())
 def test_view_matches_segment(seed, dim, n_jumps, depth, below_t0):
     rng = np.random.default_rng(seed)
     x = random_trajectory(rng, dim, n_jumps)
     ws = x.initial_history.window_start
     t = float(rng.uniform(x.t0 + ws, x.t0) if below_t0
               else rng.uniform(x.t0, x.mesh[-1]))
+    if depth == "t0":  # the cut lands exactly on t0
+        depth = t - x.t0 if t > x.t0 else None
+    elif depth == "node":  # ... or exactly on a node of phi0 or of the mesh
+        nodes = np.concatenate([x.t0 + x.initial_history.sample_points(), x.mesh])
+        depth = t - float(rng.choice(nodes[nodes < t]))
     thetas = np.concatenate([rng.uniform(-(t - x.t0) + ws - 1.0, 0.5, 200),
                              x.mesh - t, [0.0]])
     tau = t + np.clip(thetas, -np.inf if depth is None else -depth, 0.0)
@@ -91,6 +96,16 @@ def test_view_does_not_alias_trajectory_storage():
         out = view.eval(theta)
         assert not np.shares_memory(out, x.values)
         assert not np.shares_memory(out, x.post_jump_values)
+
+
+def test_segment_does_not_alias_trajectory_storage():
+    rng = np.random.default_rng(3)
+    x = random_trajectory(rng, 2, 2)
+    for depth in (None, 0.3):
+        hist = segment(x, float(x.mesh[5]) + 0.01, depth)
+        for arr in [hist.tail_value] + [s.values for s in hist.segments]:
+            assert not np.shares_memory(arr, x.values)
+            assert not np.shares_memory(arr, x.post_jump_values)
 
 
 def test_view_range_errors():

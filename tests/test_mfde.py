@@ -255,6 +255,17 @@ def test_impulsive_linear_closed_form():
     assert np.max(np.abs(x.values[:, 0] - exact)) < 5e-5
 
 
+@pytest.mark.parametrize("step", [5e-4, 2.5e-4])
+def test_post_jump_read_clears_mesh_hit_at_small_steps(step):
+    # x' = x with a unit impulse at 0.5: x(1) = 4e.  Below h = 1e-3 a
+    # post-jump read at t_j + 1e-9 h fell inside the mesh-hit tolerance,
+    # saw the pre-jump value and left an O(h) error (-4.5e-4 at 5e-4)
+    g = Integrator.with_jumps(lambda s: 1.0, [(0.5, 1.0)])
+    p = simple_problem(lambda t, psi: psi(0.0), g)
+    x, _, _ = solve_picard(p, step=step)
+    assert abs(x.values[-1, 0] - 4.0 * math.e) <= 1e-6
+
+
 def test_window_partition_covers_and_caps():
     from measurefde.mfde import _partition_windows
     gvals = np.linspace(0.0, 4.0, 201)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measurefde.mfde import MfdeProblem, ProblemBounds, Trajectory
+from measurefde.mfde import (MfdeProblem, ProblemBounds, Trajectory,
+                             _HistoryView)
 from measurefde.phase_space import (EXP_WEIGHT, UNIFORM_WEIGHT,
                                     HistoryRangeError, InfiniteNormError,
                                     RegulatedFn, Segment, check_memory_bounds,
                                     check_shift_bound, exp_weight_candidates,
-                                    phase_norm, segment, shift, truncate_shift)
+                                    phase_norm, segment, shift)
 
 
 def make_traj(mesh, values, phi0, post=None):
@@ -96,20 +97,24 @@ def test_shift_composition(t, s):
     assert np.allclose(lhs.eval(mid), rhs.eval(mid), atol=1e-9)
 
 
-# -- truncate_shift / segment ----------------------------------------------------
+# -- segment -----------------------------------------------------------------------
 
 
-def test_truncate_shift_plain():
+def test_segment_before_t0_plain():
     phi = _linear_history()
-    tr = truncate_shift(phi, -1.0)
-    assert tr(0.0) == pytest.approx(-1.0)
-    assert tr(-1.5) == pytest.approx(-2.5)
+    traj = make_traj([0.0, 1.0], [0.0, 1.0], phi)
+    hist = segment(traj, -1.0)
+    assert hist(0.0) == pytest.approx(-1.0)
+    assert hist(-1.5) == pytest.approx(-2.5)
 
 
-def test_truncate_shift_below_window_errors():
+def test_segment_before_window_errors():
     phi = _linear_history()
+    traj = make_traj([0.0, 1.0], [0.0, 1.0], phi)
     with pytest.raises(HistoryRangeError):
-        truncate_shift(phi, -4.0)
+        segment(traj, -4.0)
+    edge = segment(traj, -3.0)  # the window start itself: only the tail is left
+    assert edge(0.0) == edge(-1.0) == 0.0
 
 
 def test_segment_at_start_returns_history():
@@ -192,6 +197,15 @@ def test_segment_depth_cut_within_mesh_hit_of_jump_node(offset):
         assert hist(theta) == pytest.approx(traj.value_at(2.5 + theta)[0], abs=1e-11)
     assert hist(-1.4) == pytest.approx(10.1, abs=1e-11)
     assert hist(-3.0) == 1.0    # below the window: the left value at the node
+
+
+def test_segment_depth_cut_on_t0_freezes_x_at_t0():
+    # t - max_depth = t0: below the window the history is x(t0), not phi0's tail
+    phi0 = RegulatedFn.constant(1.0, window_start=-1.0, tail_value=0.0)
+    traj = make_traj([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], phi0)
+    hist = segment(traj, 1.0, 1.0)
+    assert hist(-2.0) == 1.0 == _HistoryView(traj, 1.0, 1.0)(-2.0)
+    assert hist(-0.5) == pytest.approx(1.5, abs=1e-15)
 
 
 def test_segment_beyond_range_errors():
