@@ -53,7 +53,9 @@ class AvgProblem:
     history_depth: float = 1.0
     solver_tol: float = 1e-9
     max_iters: int = 100
-    f_vectorized: bool = False           # f accepts an array of times
+    # f, rho_delay and g_pert accept an array of times: with one history,
+    # or with a batched history that has one row per time
+    f_vectorized: bool = False
 
     def __post_init__(self):
         if min(self.T, self.alpha, self.L, self.eps0) <= 0:
@@ -129,7 +131,10 @@ def make_averaged_rule(p: AvgProblem, n_panels: int = 64):
 
     Returns f0(psi) evaluating (1/T) * [sum w_i f(s_i, psi) + jump atoms].
     Simpson panels are laid out between the jump times of h on [0, T); the
-    jump at 0 belongs to the period, the jump at T does not.
+    jump at 0 belongs to the period, the jump at T does not.  When f is
+    vectorised, f0(psi, rows) also takes a batched history with that many
+    rows and returns one row each, from one call of f over every
+    (row, node) pair.
     """
     cuts = [0.0] + [t for t, _ in p.h.jumps if 0.0 < t < p.T] + [p.T]
     nodes = []
@@ -143,11 +148,20 @@ def make_averaged_rule(p: AvgProblem, n_panels: int = 64):
     atoms = [(t, m) for t, m in p.h.jumps if 0.0 <= t < p.T]
 
     if p.f_vectorized:
-        def f0(psi):
-            total = s_weights @ np.atleast_1d(np.asarray(p.f(s_nodes, psi), float))
+        def f0(psi, rows: int | None = None):
+            if rows is None:
+                total = s_weights @ np.atleast_1d(np.asarray(p.f(s_nodes, psi), float))
+                for t, m in atoms:
+                    total = total + m * np.asarray(p.f(t, psi), float)
+                return np.atleast_1d(total) / p.T
+            k = len(s_nodes)
+            s = s_nodes[None, :].repeat(rows, axis=0).ravel()
+            vals = np.asarray(p.f(s, psi.repeat(k)), float)
+            total = s_weights @ vals.reshape(rows, k, -1)
             for t, m in atoms:
-                total = total + m * np.asarray(p.f(t, psi), float)
-            return np.atleast_1d(total) / p.T
+                total = total + m * np.asarray(p.f(np.full(rows, t), psi),
+                                               float).reshape(rows, -1)
+            return total / p.T
     else:
         def f0(psi):
             total = sum(w * np.atleast_1d(np.asarray(p.f(float(s), psi), float))
@@ -181,7 +195,8 @@ def _original_problem(p: AvgProblem, eps: float) -> MfdeProblem:
     return MfdeProblem(f=rhs, rho_delay=lambda s, psi: p.rho_delay(s, psi, eps),
                        g=p.h, phi0=p.phi0, t0=0.0, sigma=horizon, bounds=bounds,
                        tol=p.solver_tol, max_iters=p.max_iters, weight=p.weight,
-                       history_depth=p.history_depth, extra_terms=extra_terms)
+                       history_depth=p.history_depth, extra_terms=extra_terms,
+                       batched=p.f_vectorized)
 
 
 def _default_steps(p: AvgProblem, eps: float) -> tuple[float, float]:
@@ -215,12 +230,15 @@ def solve_averaged(p: AvgProblem, eps: float, step: float | None = None,
         L2=lambda s: eps * p.const("C2") * scale,
         L3=lambda s: p.const("C4"),
     )
-    prob = MfdeProblem(f=lambda s, psi: eps * f0(psi),
-                       rho_delay=lambda s, psi: p.rho_delay(s, psi, eps),
+    if p.f_vectorized:
+        rhs = lambda s, psi: eps * f0(psi, len(s))
+    else:
+        rhs = lambda s, psi: eps * f0(psi)
+    prob = MfdeProblem(f=rhs, rho_delay=lambda s, psi: p.rho_delay(s, psi, eps),
                        g=Integrator.identity(), phi0=p.phi0, t0=0.0,
                        sigma=p.L / eps, bounds=bounds, tol=p.solver_tol,
                        max_iters=p.max_iters, weight=p.weight,
-                       history_depth=p.history_depth)
+                       history_depth=p.history_depth, batched=p.f_vectorized)
     traj, _iters, _delta = solve_picard(prob, step=step)
     return traj
 

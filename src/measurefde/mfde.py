@@ -18,9 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from .phase_space import (_MESH_HIT, EXP_WEIGHT, HistoryRangeError,
-                          RegulatedFn, Weight, _ratio, segment)
-from .stieltjes import Integrator, _sample, _simpson_rule
+from .phase_space import _MESH_HIT, EXP_WEIGHT, RegulatedFn, Weight, _ratio, segment
+from .stieltjes import Integrator, _sample
+from .trajectory import Trajectory, _HistoryView
+
+# mesh cells per batched evaluation of rho_delay and f: memory stays flat
+BATCH_CELLS = 16
 
 
 class HypothesisViolationError(ValueError):
@@ -49,7 +52,13 @@ class ProblemBounds:
 class MfdeProblem:
     """x = x(t0) + sum of int f_k dg_k: (f, g) is the first term and
     extra_terms holds any further (f_k, g_k) pairs, all read at the same
-    delayed history."""
+    delayed history.
+
+    With batched set, rho_delay and every f_k are called with an array of
+    times s and a history psi whose reads return one row per time, and they
+    return one row per time; otherwise they are called once per time with a
+    float and a single history.
+    """
 
     f: Callable[[float, RegulatedFn], object]
     rho_delay: Callable[[float, RegulatedFn], float]
@@ -63,6 +72,7 @@ class MfdeProblem:
     weight: Weight = EXP_WEIGHT
     history_depth: float | None = None
     extra_terms: tuple[tuple[Callable, Integrator], ...] = ()
+    batched: bool = False
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -73,75 +83,6 @@ class MfdeProblem:
     @property
     def terms(self) -> tuple:
         return ((self.f, self.g),) + self.extra_terms
-
-
-@dataclass
-class Trajectory:
-    """Solution values on a sorted mesh, with explicit post-jump values.
-
-    The stored value at a jump time is the left value; the post-jump value
-    sits alongside, so the trajectory is left-continuous and jumps to the
-    right of each jump time of g.  Histories returned by history_at are
-    built from copies and share no storage with the value arrays; at t0
-    without a depth cut it is the initial history itself.
-    """
-
-    mesh: np.ndarray
-    values: np.ndarray
-    post_jump_values: np.ndarray
-    initial_history: RegulatedFn
-    t0: float
-
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.mesh.copy(), self.values.copy(),
-                          self.post_jump_values.copy(), self.initial_history, self.t0)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    def history_at(self, t: float, max_depth: float | None = None) -> RegulatedFn:
-        return segment(self, t, max_depth)
-
-    def value_at(self, t) -> np.ndarray:
-        """x at absolute times t: phi0(t - t0) at or below t0, the stored
-        left value within _MESH_HIT of a mesh node, and on (t_i, t_{i+1}]
-        the line from the post-jump value at t_i to the stored value at
-        t_{i+1}.  Never returns memory shared with the value arrays."""
-        mesh, post = self.mesh, self.post_jump_values
-        if isinstance(t, float):  # one point: no index or mask arrays
-            if t <= self.t0:
-                return self.initial_history.eval(t - self.t0)
-            j = min(int(mesh.searchsorted(t)), len(mesh) - 1)
-            for node in (j, j - 1):
-                if abs(mesh[node] - t) <= _MESH_HIT:
-                    return self.values[node].copy()
-            lam = (t - mesh[j - 1]) / (mesh[j] - mesh[j - 1])
-            return post[j - 1] + lam * (self.values[j] - post[j - 1])
-        ts = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(ts)
-        past = flat <= self.t0
-        if past.all():  # tanh's lag reads mostly inside phi0: no mesh work
-            out = self.initial_history.eval(flat - self.t0)
-        else:
-            out = np.empty((len(flat), self.dim))
-            if past.any():
-                out[past] = self.initial_history.eval(flat[past] - self.t0)
-            tl = flat[~past]
-            j = np.minimum(mesh.searchsorted(tl), len(mesh) - 1)
-            lam = (tl - mesh[j - 1]) / (mesh[j] - mesh[j - 1])
-            live = post[j - 1] + lam[:, None] * (self.values[j] - post[j - 1])
-            for node in (j - 1, j):  # the right neighbour wins a double hit
-                hit = np.abs(mesh[node] - tl) <= _MESH_HIT
-                if hit.any():
-                    live[hit] = self.values[node[hit]]
-            out[~past] = live
-        return out[0] if ts.ndim == 0 else out
-
-    def sup_distance(self, other: "Trajectory") -> float:
-        d1 = np.abs(self.values - other.values).max()
-        d2 = np.abs(self.post_jump_values - other.post_jump_values).max()
-        return float(max(d1, d2))
 
 
 def build_mesh(p: MfdeProblem, step: float) -> np.ndarray:
@@ -174,96 +115,86 @@ def initial_trajectory(p: MfdeProblem, mesh: np.ndarray,
     return Trajectory(mesh, vals, vals.copy(), p.phi0, p.t0)
 
 
-class _HistoryView:
-    """The history x_t as theta -> x(t + clip(theta, -depth, 0)), read
-    through Trajectory.value_at without building a RegulatedFn.  Valid only
-    while x is not written: f and rho_delay get it for the length of a call.
-    """
-
-    __slots__ = ("x", "t", "lo", "dim")
-
-    def __init__(self, x: Trajectory, t: float, depth: float | None):
-        end = float(x.mesh[-1])
-        if t > end + 1e-9:
-            raise HistoryRangeError(f"time {t} beyond computed range {end}")
-        if t < x.t0 + x.initial_history.window_start - 1e-12:
-            raise HistoryRangeError(
-                f"time {t} below the initial history window at {x.t0}")
-        self.x, self.t, self.dim = x, min(t, end), x.dim
-        self.lo = -math.inf if depth is None else -depth
-
-    def eval(self, theta) -> np.ndarray:
-        if isinstance(theta, float):
-            return self.x.value_at(self.t + min(max(theta, self.lo), 0.0))
-        return self.x.value_at(self.t + np.minimum(np.maximum(theta, self.lo), 0.0))
-
-    def __call__(self, theta):
-        res = self.eval(theta)
-        if self.dim == 1:
-            return float(res[0]) if res.ndim == 1 else res[:, 0]
-        return res
+def _rows(fn, batched: bool, s: np.ndarray, view: _HistoryView) -> np.ndarray:
+    """fn at the times s on the batch view, one row per time: one call when
+    fn takes the batched convention, else one call per row."""
+    if batched:
+        out = fn(s, view)
+    else:
+        out = [fn(si, view.row(i)) for i, si in enumerate(s.tolist())]
+    return np.asarray(out, dtype=float).reshape(len(s), -1)
 
 
-def _delayed_rhs(p: MfdeProblem, x: Trajectory, s: float) -> tuple[list, float]:
-    """Every f_k evaluated on the history at the delayed time, plus the
-    delayed time."""
-    hist_s = _HistoryView(x, s, p.history_depth)
-    r = float(p.rho_delay(s, hist_s))
-    if r > s + 1e-9:
-        raise HypothesisViolationError(f"rho({s}, x_s) = {r} exceeds s")
-    hist_r = hist_s if abs(r - s) <= 1e-14 else _HistoryView(x, r, p.history_depth)
-    return [np.atleast_1d(np.asarray(f(s, hist_r), dtype=float))
-            for f, _ in p.terms], r
+def _delays(p: MfdeProblem, x: Trajectory, s: np.ndarray,
+            post=None) -> tuple[np.ndarray, _HistoryView]:
+    """rho_delay at the times s on the histories x_s, and that batch view."""
+    view = _HistoryView(x, s, p.history_depth, post)
+    return _rows(p.rho_delay, p.batched, s, view)[:, 0], view
 
 
-def _jump_sum(fs: list, caches: list, j: int) -> np.ndarray:
-    """Sum of f_k * (jump of g_k) over the terms jumping at mesh index j."""
-    return reduce(operator.add, [f * jump_at[j] for f, (_, _, jump_at)
-                                 in zip(fs, caches) if jump_at[j]])
+def _batch_rhs(p: MfdeProblem, x: Trajectory, s: np.ndarray, post=None) -> list:
+    """Every f_k at the times s on the histories at their delayed times, one
+    row per time; a row with a post index starts from the right limit."""
+    r, view = _delays(p, x, s, post)
+    late = r > s + 1e-9
+    if late.any():
+        i = int(late.argmax())
+        raise HypothesisViolationError(f"rho({s[i]}, x_s) = {r[i]} exceeds s")
+    same = np.abs(r - s) <= 1e-14
+    if not same.all():  # rows that did not move keep the history at s
+        r = r.copy()
+        r[same] = s[same]
+        if post is not None:
+            post = post.copy()
+            post[~same] = -1
+        view = _HistoryView(x, r, p.history_depth, post)
+    return [_rows(f, p.batched, s, view) for f, _ in p.terms]
 
 
-def _advance(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
-             i0: int, i1: int, base_val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
+           i0: int, i1: int, base_val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One application of the solution operator on mesh indices [i0, i1].
 
-    Returns (values, post_jump_values) for that index range, reading all
-    histories from the iterate x.  Simpson on each mesh cell for the density
-    part of every term; a jump at the left endpoint of a cell belongs to that
-    cell.
+    Returns (values, post_jump_values) for that index range.  Every history
+    is read from the iterate x, so the right-hand sides of a sweep do not
+    depend on each other: they are evaluated BATCH_CELLS cells at a time, at
+    the nodes and midpoints and, on cells that open with a jump, at the
+    node's right limit.  Simpson on each mesh cell for the density part of
+    every term, whose integrand starts from the post-jump history; a jump at
+    the left endpoint of a cell belongs to that cell and uses the left value.
     """
-    mesh = x.mesh
-    dim = x.dim
-    n_pts = i1 - i0 + 1
-    vals = np.empty((n_pts, dim))
-    post = np.empty((n_pts, dim))
+    mesh, n, dim = x.mesh, i1 - i0, x.dim
+    half = np.empty(2 * n + 1)  # nodes and midpoints in time order
+    half[0::2] = mesh[i0:i1 + 1]
+    half[1::2] = 0.5 * (mesh[i0:i1] + mesh[i0 + 1:i1 + 1])
+    h6 = ((mesh[i0 + 1:i1 + 1] - mesh[i0:i1]) / 6.0)[:, None]
+    cols = [(dn[i0:i1 + 1, None], dm[i0:i1, None], jump_at[i0:i1 + 1, None])
+            for dn, dm, jump_at in caches]
+    jumps = any_jump[i0:i1 + 1]
+    vals = np.empty((n + 1, dim))
+    post = np.empty_like(vals)
     vals[0] = base_val
-    f_left, _ = _delayed_rhs(p, x, float(mesh[i0]))
-    post[0] = vals[0] + (_jump_sum(f_left, caches, i0) if any_jump[i0] else 0.0)
-    acc = vals[0].astype(float).copy()
-    for j in range(i0, i1):
-        k = j - i0
-        h = mesh[j + 1] - mesh[j]
-        smid = 0.5 * (mesh[j] + mesh[j + 1])
-        f_mid, _ = _delayed_rhs(p, x, float(smid))
-        f_right, _ = _delayed_rhs(p, x, float(mesh[j + 1]))
-        if any_jump[j]:
-            # density integrand over (t_j, t_{j+1}) starts from the
-            # post-jump history, read clear of the node's mesh hit; the
-            # jump atoms themselves use the left value
-            t_post = float(mesh[j]) + max(1e-9 * h, 10 * _MESH_HIT)
-            f_post, _ = _delayed_rhs(p, x, t_post)
-        else:
-            f_post = f_left
-        inc = reduce(operator.add, [
-            (h / 6.0) * (fp * dn[j] + 4.0 * fm * dm[j] + fr * dn[j + 1])
-            for fp, fm, fr, (dn, dm, _) in zip(f_post, f_mid, f_right, caches)])
-        if any_jump[j]:
-            inc = inc + _jump_sum(f_left, caches, j)
-        acc = acc + inc
-        vals[k + 1] = acc
-        post[k + 1] = acc + (_jump_sum(f_right, caches, j + 1)
-                             if any_jump[j + 1] else 0.0)
-        f_left = f_right
+    for a in range(0, max(n, 1), BATCH_CELLS):
+        b = min(a + BATCH_CELLS, n)
+        m = 2 * (b - a) + 1
+        s, right = half[2 * a:2 * b + 1], None
+        jc = np.nonzero(jumps[a:b])[0]  # cells that open with a jump
+        if len(jc):
+            s = np.concatenate([s, half[2 * (a + jc)]])
+            right = np.concatenate([np.full(m, -1), i0 + a + jc])
+        inc = np.zeros((b - a, dim))
+        atoms = np.zeros((b - a + 1, dim))
+        for (dn, dm, jump_at), fs in zip(cols, _batch_rhs(p, x, s, right)):
+            fn, fp = fs[0:m:2], fs[0:m - 1:2]
+            if len(jc):
+                fp = fp.copy()
+                fp[jc] = fs[m:]
+            inc = inc + h6[a:b] * (fp * dn[a:b] + 4.0 * fs[1:m:2] * dm[a:b]
+                                   + fn[1:] * dn[a + 1:b + 1])
+            atoms = atoms + fn * jump_at[a:b + 1]
+        vals[a:b + 1] = np.cumsum(np.concatenate([vals[a:a + 1], inc + atoms[:-1]]),
+                                  axis=0)
+        post[a:b + 1] = vals[a:b + 1] + atoms
     return vals, post
 
 
@@ -286,7 +217,7 @@ def _mesh_caches(p: MfdeProblem, mesh: np.ndarray) -> tuple[list, np.ndarray]:
 def gamma_apply(x: Trajectory, p: MfdeProblem) -> Trajectory:
     """Apply the solution operator to a candidate trajectory on its mesh."""
     base = np.atleast_1d(p.phi0.value_at_zero())
-    vals, post = _advance(p, x, *_mesh_caches(p, x.mesh), 0, len(x.mesh) - 1, base)
+    vals, post = _sweep(p, x, *_mesh_caches(p, x.mesh), 0, len(x.mesh) - 1, base)
     return Trajectory(x.mesh.copy(), vals, post, p.phi0, p.t0)
 
 
@@ -325,7 +256,8 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
     if step is None:
         step = p.sigma / 2000.0
     mesh = build_mesh(p, step)
-    gvals = reduce(operator.add, (g.values_at(mesh) for _, g in p.terms))
+    # g increments from the first node: the cost does not grow with |t0|
+    gvals = reduce(operator.add, (g.values_at(mesh, mesh[0]) for _, g in p.terms))
     caches, any_jump = _mesh_caches(p, mesh)
     windows = _partition_windows(contraction_rate(p), gvals)
 
@@ -337,7 +269,7 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
         delta = math.inf
         for _ in range(p.max_iters):
             total_iters += 1
-            vals, post = _advance(p, x, caches, any_jump, i0, i1, base)
+            vals, post = _sweep(p, x, caches, any_jump, i0, i1, base)
             delta = max(float(np.abs(vals - x.values[i0:i1 + 1]).max()),
                         float(np.abs(post - x.post_jump_values[i0:i1 + 1]).max()))
             x.values[i0:i1 + 1] = vals
@@ -354,10 +286,10 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
 
 
 def delayed_time_series(p: MfdeProblem, x: Trajectory) -> np.ndarray:
-    out = np.empty(len(x.mesh))
-    for i, s in enumerate(x.mesh.tolist()):
-        out[i] = float(p.rho_delay(s, _HistoryView(x, s, p.history_depth)))
-    return out
+    """rho_delay along x at every mesh node, in sweep-sized batches."""
+    size = 2 * BATCH_CELLS + 1
+    return np.concatenate([_delays(p, x, x.mesh[i:i + size])[0]
+                           for i in range(0, len(x.mesh), size)])
 
 
 def _assert_monotone_delay(p: MfdeProblem, x: Trajectory, tol: float = 1e-7):
@@ -490,8 +422,29 @@ def _kernel(theta):
     return np.exp(-th * th + th)
 
 
-def _simpson_nodes(a: float, b: float, max_h: float) -> tuple[np.ndarray, np.ndarray]:
-    return _simpson_rule(a, b, max(1, int(math.ceil((b - a) / (2.0 * max_h)))))
+def _lag_rules(t: np.ndarray, max_h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Simpson on [-KERNEL_CUTOFF, -t] for each t, at most max_h
+    per half panel, as nodes and kernel-weighted weights: one row per t,
+    padded with zero-weight nodes at -t (all of them when t >= the cutoff)."""
+    b = -t
+    width = np.maximum(b + KERNEL_CUTOFF, 0.0)
+    twice = [2 * max(1, math.ceil(w / (2.0 * max_h))) for w in width.tolist()]
+    ends = np.array(twice, dtype=float)[:, None]
+    j = np.arange(max(twice) + 1.0)
+    step = width[:, None] / ends
+    nodes = j * step
+    nodes -= KERNEL_CUTOFF
+    np.minimum(nodes, b[:, None], out=nodes)
+    simpson = np.full(len(j), 2.0)
+    simpson[1::2] = 4.0
+    simpson[0] = 1.0
+    weights = simpson * (j <= ends)
+    weights[np.arange(len(twice)), twice] = 1.0
+    weights *= step / 3.0
+    kernel = nodes * nodes  # exp(-theta^2 + theta), as _kernel
+    np.subtract(nodes, kernel, out=kernel)
+    weights *= np.exp(kernel, out=kernel)
+    return nodes, weights
 
 
 def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0,
@@ -505,21 +458,28 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0,
     with kernel T(theta) = exp(-theta^2 + theta), truncated at theta = -6
     where the remaining mass is below 1e-12.  The initial history is
     amplitude * exp(theta) with a zero tail; g is the identity plus any
-    caller-supplied impulses.
+    caller-supplied impulses.  f and rho take a float t with one history or
+    an array of times with a batched one.
     """
-    nodes, w = _simpson_nodes(-KERNEL_CUTOFF, 0.0, kernel_h)
-    kw = _kernel(nodes) * w               # kernel already positive
+    (nodes,), (kw,) = _lag_rules(np.array([0.0]), kernel_h)  # kernel weights
 
-    def f(t: float, psi) -> float:
-        vals = np.tanh(psi(nodes))
-        return float(math.cos(t) ** 2 * np.dot(kw, vals))
+    def f(t, psi):
+        if np.ndim(t) == 0:
+            return float(math.cos(t) ** 2 * np.dot(kw, np.tanh(psi(nodes))))
+        return np.cos(t) ** 2 * (np.tanh(psi(nodes)) * kw).sum(axis=1)
 
-    def rho(t: float, psi) -> float:
-        if t >= KERNEL_CUTOFF:
-            return float(t)
-        r_nodes, r_w = _simpson_nodes(-KERNEL_CUTOFF, -t, kernel_h)
-        lag = float(np.dot(_kernel(r_nodes) * r_w, np.tanh(np.abs(psi(r_nodes - t)))))
-        return float(t - lag)
+    def rho(t, psi):
+        if np.ndim(t) == 0:
+            if t >= KERNEL_CUTOFF:
+                return float(t)
+            (r_nodes,), (r_kw,) = _lag_rules(np.array([float(t)]), kernel_h)
+            return float(t - np.dot(r_kw, np.tanh(np.abs(psi(r_nodes - t)))))
+        r_nodes, r_kw = _lag_rules(t, kernel_h)
+        r_nodes -= t[:, None]
+        vals = psi(r_nodes)
+        r_kw *= np.tanh(np.abs(vals, out=vals), out=vals)
+        # rows at or past the cutoff have zero weights: their lag is 0
+        return t - r_kw.sum(axis=1)
 
     c_bar = float(np.dot(kw, np.exp(nodes)))   # int |T| e^theta
     depth = KERNEL_CUTOFF + sigma + 1.0
@@ -536,4 +496,4 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0,
         else Integrator.with_jumps(1.0, tuple(jumps))
     return MfdeProblem(f=f, rho_delay=rho, g=g, phi0=phi0,
                        t0=t0, sigma=sigma, bounds=bounds, tol=tol,
-                       weight=EXP_WEIGHT, history_depth=depth)
+                       weight=EXP_WEIGHT, history_depth=depth, batched=True)

@@ -134,24 +134,25 @@ class RegulatedFn:
         th = np.asarray(theta, dtype=float)
         scalar = th.ndim == 0
         th = np.atleast_1d(th)
-        out = np.empty((len(th), self.dim))
         tail_mask = th <= self._bounds[0]
         if len(self.segments) == 1:  # one np.interp per dimension
             seg = self.segments[0]
-            for d in range(self.dim):
-                out[:, d] = np.interp(th, seg.thetas, seg.values[:, d])
-        elif not tail_mask.all():
-            active = ~tail_mask
-            ta = th[active]
-            idx = np.searchsorted(self._bounds, ta, side="left")
-            idx = np.clip(idx - 1, 0, len(self.segments) - 1)
-            vals = np.empty((len(ta), self.dim))
-            for si in np.unique(idx):
-                seg = self.segments[si]
-                m = idx == si
-                for d in range(self.dim):
-                    vals[m, d] = np.interp(ta[m], seg.thetas, seg.values[:, d])
-            out[active] = vals
+            cols = [np.interp(th, seg.thetas, seg.values[:, d]) for d in range(self.dim)]
+            out = cols[0][:, None] if self.dim == 1 else np.stack(cols, axis=1)
+        else:
+            out = np.empty((len(th), self.dim))
+            if not tail_mask.all():
+                active = ~tail_mask
+                ta = th[active]
+                idx = np.searchsorted(self._bounds, ta, side="left")
+                idx = np.clip(idx - 1, 0, len(self.segments) - 1)
+                vals = np.empty((len(ta), self.dim))
+                for si in np.unique(idx):
+                    seg = self.segments[si]
+                    m = idx == si
+                    for d in range(self.dim):
+                        vals[m, d] = np.interp(ta[m], seg.thetas, seg.values[:, d])
+                out[active] = vals
         out[tail_mask] = self.tail_value
         for t_pv, v_pv in self.point_values:
             hit = th == t_pv

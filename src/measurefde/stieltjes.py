@@ -100,21 +100,25 @@ class Integrator:
         """g(t): :meth:`values_at` at one point."""
         return float(self.values_at(np.array([t]))[0])
 
-    def values_at(self, ts: np.ndarray) -> np.ndarray:
-        """g on a 1-D array of times in any order: density * t for a constant,
-        else composite Simpson over the gaps between the sorted times from 0."""
+    def values_at(self, ts: np.ndarray, origin: float = 0.0) -> np.ndarray:
+        """g(ts) - g(origin) on a 1-D array of times in any order, so g itself
+        by default: density * (t - origin) for a constant, else composite
+        Simpson over the gaps between origin and the sorted times, whose cost
+        grows with their spread and not with |origin|."""
         ts = np.asarray(ts, dtype=float)
         if isinstance(self.density, float):
-            dens = self.density * ts
+            dens = self.density * (ts - origin)
         else:
             dens = np.empty_like(ts)
-            acc, prev_t = 0.0, 0.0
+            acc, prev_t = 0.0, float(origin)
             for i in np.argsort(ts, kind="stable"):
                 t = float(ts[i])
                 acc += _simpson_density(self.density, prev_t, t)
                 dens[i] = acc
                 prev_t = t
-        out = dens + self._jump_cum[np.searchsorted(self._jump_times, ts, "left")]
+        cum, times = self._jump_cum, self._jump_times
+        out = dens + (cum[np.searchsorted(times, ts, "left")]
+                      - cum[np.searchsorted(times, origin, "left")])
         if not np.all(np.isfinite(out)):
             raise IntegratorDomainError("integrator produced non-finite values")
         return out

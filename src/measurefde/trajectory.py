@@ -1,0 +1,166 @@
+"""Solution trajectories on a jump-aware mesh, and the view through which
+the Picard sweep reads their histories at absolute times.
+
+Trajectory.value_at is the one rule for x(t).  _HistoryView hands the
+right-hand sides the history x_t, or a batch of histories with one row per
+time, read through that rule without building a RegulatedFn.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .phase_space import _MESH_HIT, HistoryRangeError, RegulatedFn, segment
+
+
+@dataclass
+class Trajectory:
+    """Solution values on a sorted mesh, with explicit post-jump values.
+
+    The stored value at a jump time is the left value; the post-jump value
+    sits alongside, so the trajectory is left-continuous and jumps to the
+    right of each jump time of g.  Histories returned by history_at are
+    built from copies and share no storage with the value arrays; at t0
+    without a depth cut it is the initial history itself.
+    """
+
+    mesh: np.ndarray
+    values: np.ndarray
+    post_jump_values: np.ndarray
+    initial_history: RegulatedFn
+    t0: float
+
+    def copy(self) -> "Trajectory":
+        return Trajectory(self.mesh.copy(), self.values.copy(),
+                          self.post_jump_values.copy(), self.initial_history, self.t0)
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[1]
+
+    def history_at(self, t: float, max_depth: float | None = None) -> RegulatedFn:
+        return segment(self, t, max_depth)
+
+    def value_at(self, t) -> np.ndarray:
+        """x at absolute times t: phi0(t - t0) at or below t0, the stored
+        left value within _MESH_HIT of a mesh node, and on (t_i, t_{i+1}]
+        the line from the post-jump value at t_i to the stored value at
+        t_{i+1}.  Never returns memory shared with the value arrays."""
+        mesh, post = self.mesh, self.post_jump_values
+        if isinstance(t, float):  # one point: no index or mask arrays
+            if t <= self.t0:
+                return self.initial_history.eval(t - self.t0)
+            j = min(int(mesh.searchsorted(t)), len(mesh) - 1)
+            for node in (j, j - 1):
+                if abs(mesh[node] - t) <= _MESH_HIT:
+                    return self.values[node].copy()
+            lam = (t - mesh[j - 1]) / (mesh[j] - mesh[j - 1])
+            return post[j - 1] + lam * (self.values[j] - post[j - 1])
+        ts = np.asarray(t, dtype=float)
+        flat = np.atleast_1d(ts)
+        past = flat <= self.t0
+        if past.all():  # tanh's lag reads mostly inside phi0: no mesh work
+            out = self.initial_history.eval(flat - self.t0)
+        else:
+            out = np.empty((len(flat), self.dim))
+            if past.any():
+                out[past] = self.initial_history.eval(flat[past] - self.t0)
+            tl = flat[~past]
+            j = np.minimum(mesh.searchsorted(tl), len(mesh) - 1)
+            lam = (tl - mesh[j - 1]) / (mesh[j] - mesh[j - 1])
+            live = post[j - 1] + lam[:, None] * (self.values[j] - post[j - 1])
+            for node in (j - 1, j):  # the right neighbour wins a double hit
+                hit = np.abs(mesh[node] - tl) <= _MESH_HIT
+                if hit.any():
+                    live[hit] = self.values[node[hit]]
+            out[~past] = live
+        return out[0] if ts.ndim == 0 else out
+
+    def sup_distance(self, other: "Trajectory") -> float:
+        d1 = np.abs(self.values - other.values).max()
+        d2 = np.abs(self.post_jump_values - other.post_jump_values).max()
+        return float(max(d1, d2))
+
+
+class _HistoryView:
+    """Histories x_t as theta -> x(t + clip(theta, -depth, 0)), read through
+    Trajectory.value_at without building a RegulatedFn.
+
+    For a float t it is one history.  For an array of times it is a batch:
+    every read returns one row per time, and a theta array of shape (n, m)
+    gives row i its own m points.  A post index j >= 0 reads the right limit
+    post_jump_values[j] at theta = 0.  Valid only while x is not written:
+    f and rho_delay get it for the length of a call.
+    """
+
+    __slots__ = ("x", "t", "lo", "dim", "post", "rep")
+
+    def __init__(self, x: Trajectory, t, depth: float | None, post=None):
+        end = float(x.mesh[-1])
+        t_hi, t_lo = (t, t) if isinstance(t, float) else (float(t.max()), float(t.min()))
+        if t_hi > end + 1e-9:
+            raise HistoryRangeError(f"time {t_hi} beyond computed range {end}")
+        if t_lo < x.t0 + x.initial_history.window_start - 1e-12:
+            raise HistoryRangeError(
+                f"time {t_lo} below the initial history window at {x.t0}")
+        if t_hi > end:
+            t = min(t, end) if isinstance(t, float) else np.minimum(t, end)
+        self.x, self.dim, self.t, self.post, self.rep = x, x.dim, t, post, 1
+        self.lo = -math.inf if depth is None else -depth
+
+    def _like(self, t, post, rep: int = 1) -> "_HistoryView":
+        view = object.__new__(_HistoryView)
+        view.x, view.dim, view.lo = self.x, self.dim, self.lo
+        view.t, view.post, view.rep = t, post, rep
+        return view
+
+    def row(self, i: int) -> "_HistoryView":
+        """Row i of a batch as one history."""
+        i //= self.rep
+        post = None if self.post is None or self.post[i] < 0 else int(self.post[i])
+        return self._like(float(self.t[i]), post)
+
+    def repeat(self, k: int) -> "_HistoryView":
+        """The batch with every row repeated k times in place; reads shared
+        by all rows are made once per distinct row."""
+        return self._like(self.t, self.post, self.rep * k)
+
+    def eval(self, theta) -> np.ndarray:
+        x, t, post, rep = self.x, self.t, self.post, self.rep
+        if isinstance(t, float):
+            if isinstance(theta, float):
+                th = min(max(theta, self.lo), 0.0)
+                if th == 0.0 and post is not None:
+                    return x.post_jump_values[post].copy()
+                return x.value_at(t + th)
+            th = np.minimum(np.maximum(theta, self.lo), 0.0)
+            out = x.value_at(t + th)
+            if post is not None:
+                out[th == 0.0] = x.post_jump_values[post]
+            return out
+        th = np.maximum(np.asarray(theta, dtype=float), self.lo)
+        th = np.minimum(th, 0.0, out=th if th.ndim else None)
+        if th.ndim == 2 and rep > 1:  # every repeated row reads its own points
+            t, rep = np.repeat(t, rep), 1
+            post = None if post is None else np.repeat(post, self.rep)
+        tau = t if th.ndim == 0 else t[:, None]
+        if post is not None:
+            j = np.broadcast_to(post.reshape(tau.shape), np.broadcast_shapes(tau.shape, th.shape))
+            right = (j >= 0) & (th == 0.0)
+        if th.ndim == 2:  # the absolute read times
+            th += tau
+        else:
+            th = tau + th
+        out = x.value_at(th.ravel()).reshape(th.shape + (self.dim,))
+        if post is not None:
+            out[right] = x.post_jump_values[j[right]]
+        return out if rep == 1 else np.repeat(out, rep, axis=0)
+
+    def __call__(self, theta):
+        res = self.eval(theta)
+        if self.dim == 1:
+            return float(res[0]) if res.ndim == 1 else res[..., 0]
+        return res

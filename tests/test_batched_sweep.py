@@ -1,0 +1,179 @@
+"""The batched Picard sweep against its per-row adapter.
+
+A problem that sets MfdeProblem.batched has rho_delay and every f_k called
+once per batch of times, with a history view whose reads return one row per
+time.  Any other problem goes through the per-row adapter over the same
+view.  The two must give the same solution operator and raise the same typed
+errors.
+"""
+
+import math
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from measurefde.mfde import (ConvergenceError, HypothesisViolationError,
+                             MfdeProblem,
+                             ProblemBounds, Trajectory, _HistoryView,
+                             _lag_rules, _kernel, build_mesh,
+                             delayed_time_series, gamma_apply,
+                             initial_trajectory, residual, solve_picard,
+                             tanh_kernel_problem)
+from measurefde.phase_space import HistoryRangeError, RegulatedFn
+from measurefde.stieltjes import Integrator, _simpson_rule
+
+BOUNDS = ProblemBounds(lambda s: 2.0, lambda s: 1.0, lambda s: 1.0, lambda s: 0.5)
+
+
+def random_problem(rng, dim, n_jumps, extra, fault):
+    """Linear delay problem in both calling conventions: s is a float with
+    one history, or an array with one history row per time."""
+    t0 = float(rng.uniform(-1.0, 1.0))
+    sigma = float(rng.uniform(0.5, 1.5))
+    lag = float(rng.uniform(0.05, 0.8))
+    a = rng.normal(0.0, 0.6, (dim, dim))
+    b = rng.normal(0.0, 0.6, dim)
+    d0, d1 = rng.uniform(0.0, 0.5, 2)
+
+    def f(s, psi):
+        return np.sin(np.asarray(s))[..., None] * psi.eval(-lag) + psi.eval(0.0) @ a.T
+
+    def pert(s, psi):
+        return np.cos(np.asarray(s))[..., None] * b + 0.0 * psi.eval(0.0)
+
+    def rho(s, psi):
+        r = s - d0 - d1 * np.tanh(psi.eval(0.0)[..., 0]) ** 2
+        if fault == "late":
+            r = r + 1.5 * (np.asarray(s) > t0 + 0.5 * sigma)
+        elif fault == "deep":
+            r = r - 10.0
+        return r
+
+    jumps = sorted(rng.uniform(t0, t0 + sigma, n_jumps).tolist())
+    g = Integrator.with_jumps(float(rng.uniform(0.5, 1.5)),
+                              [(t, float(rng.uniform(0.1, 0.6))) for t in jumps])
+    h = Integrator.pure_jumps([(t0 + 0.3 * sigma, 0.4)]) if extra else None
+    phi = RegulatedFn.polyline(np.array([-2.0, -1.0, 0.0]),
+                               rng.normal(0.0, 1.0, (3, dim)), tail_value=np.zeros(dim))
+    return MfdeProblem(f=f, rho_delay=rho, g=g, phi0=phi, t0=t0, sigma=sigma,
+                       bounds=BOUNDS, tol=1e-11, history_depth=2.0,
+                       extra_terms=((pert, h),) if extra else (), batched=True)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (HypothesisViolationError, HistoryRangeError, ConvergenceError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(0, 3),
+       st.booleans(), st.sampled_from([None, None, "late", "deep"]))
+def test_batched_sweep_matches_per_row_adapter(seed, dim, n_jumps, extra, fault):
+    rng = np.random.default_rng(seed)
+    batched = random_problem(rng, dim, n_jumps, extra, fault)
+    per_row = replace(batched, batched=False)
+    x = initial_trajectory(batched, build_mesh(batched, float(rng.uniform(0.01, 0.1))))
+    x.values += rng.normal(0.0, 0.3, x.values.shape)
+    x.post_jump_values = x.values + (rng.uniform(size=x.values.shape) < 0.2)
+
+    ga, gb = outcome(lambda: gamma_apply(x, batched)), outcome(lambda: gamma_apply(x, per_row))
+    if fault == "late":
+        assert ga is gb is HypothesisViolationError
+    elif fault == "deep":
+        assert ga is gb is HistoryRangeError
+    else:
+        scale = 1.0 + np.abs(gb.values).max()
+        assert np.abs(ga.values - gb.values).max() <= 1e-12 * scale
+        assert np.abs(ga.post_jump_values - gb.post_jump_values).max() <= 1e-12 * scale
+    # the lag itself reads only x_s, so it is defined for every fault
+    ra, rb = delayed_time_series(batched, x), delayed_time_series(per_row, x)
+    assert np.abs(ra - rb).max() <= 1e-12 * (1.0 + np.abs(rb).max())
+
+    if fault is None and dim == 1:
+        sa = outcome(lambda: solve_picard(batched, step=0.05))
+        sb = outcome(lambda: solve_picard(per_row, step=0.05))
+        if isinstance(sa, type) or isinstance(sb, type):
+            assert sa is sb   # both reject a delay that runs backwards, say
+        else:
+            assert sa[0].sup_distance(sb[0]) <= 1e-10
+
+
+def test_batched_view_reads_rows_and_right_limits():
+    phi0 = RegulatedFn.constant(0.0, window_start=-1.0)
+    mesh = np.array([0.0, 0.5, 1.0])
+    x = Trajectory(mesh, np.array([[0.0], [0.5], [1.0]]),
+                   np.array([[0.0], [3.0], [1.0]]), phi0, 0.0)
+    view = _HistoryView(x, np.array([0.5, 0.5, 1.0]), None, np.array([-1, 1, -1]))
+    assert view(0.0).tolist() == [0.5, 3.0, 1.0]           # left, right limit, node
+    assert view(np.array([-0.25, 0.0])).tolist() == [[0.25, 0.5], [0.25, 3.0], [2.0, 1.0]]
+    per_row = view(np.array([[-0.5], [0.0], [-0.25]]))     # each row its own points
+    assert per_row.tolist() == [[0.0], [3.0], [2.0]]
+    assert [view.row(i)(0.0) for i in range(3)] == [0.5, 3.0, 1.0]
+    rep = view.repeat(2)
+    assert rep(0.0).tolist() == [0.5, 0.5, 3.0, 3.0, 1.0, 1.0]
+    own = rep(np.array([[0.0], [-0.1], [0.0], [-0.3], [-0.4], [0.0]]))[:, 0]
+    assert own.tolist() == pytest.approx([0.5, 0.4, 3.0, 0.2, 2.6, 1.0], abs=1e-15)
+    with pytest.raises(HistoryRangeError):
+        _HistoryView(x, np.array([0.5, 1.0 + 1e-8]), None)
+    with pytest.raises(HistoryRangeError):
+        _HistoryView(x, np.array([-1.0 - 1e-9, 0.5]), None)
+
+
+def test_tanh_lag_rules_are_simpson_rows():
+    # one zero-padded row per t, each the composite Simpson rule on
+    # [-6, -t] with the kernel folded into the weights
+    t = np.array([0.0, 0.013, 0.4, 2.0, 5.99, 6.0, 9.0])
+    nodes, weights = _lag_rules(t, 0.0125)
+    for i, ti in enumerate(t):
+        if ti >= 6.0:
+            assert not weights[i].any()
+            continue
+        xs, w = _simpson_rule(-6.0, -ti, max(1, math.ceil((6.0 - ti) / 0.025)))
+        k = len(xs)
+        assert np.max(np.abs(nodes[i, :k] - xs)) <= 1e-15
+        assert np.max(np.abs(weights[i, :k] - _kernel(xs) * w)) <= 1e-17
+        assert not weights[i, k:].any() and np.all(nodes[i, k:] == -ti)
+
+
+@pytest.mark.parametrize("jumps", [(), ((0.5, 0.4),)])
+def test_tanh_batched_rows_equal_scalar_calls(jumps):
+    p = tanh_kernel_problem(sigma=7.0, jumps=jumps)
+    rng = np.random.default_rng(5)
+    x = initial_trajectory(p, build_mesh(p, 0.05))
+    x.values += np.cumsum(rng.normal(0.0, 0.05, x.values.shape), axis=0)
+    x.post_jump_values = x.values.copy()
+    s = np.sort(np.concatenate([rng.uniform(0.0, 7.0, 40), [0.0, 5.999, 6.0, 7.0]]))
+    view = _HistoryView(x, s, p.history_depth)
+    r = p.rho_delay(s, view)
+    fx = p.f(s, view)
+    assert r.shape == fx.shape == s.shape
+    for i, si in enumerate(s.tolist()):
+        row = view.row(i)
+        assert abs(r[i] - p.rho_delay(si, row)) <= 1e-13
+        assert abs(fx[i] - p.f(si, row)) <= 1e-13
+        # the scalar forms also take a materialised history
+        hist = x.history_at(si, p.history_depth)
+        assert abs(p.rho_delay(si, hist) - p.rho_delay(si, row)) <= 1e-11
+        assert abs(p.f(si, hist) - p.f(si, row)) <= 1e-11
+
+
+def test_residual_memory_stays_flat_over_a_long_mesh():
+    # 10,001 nodes: a whole-mesh batch of the tanh right-hand side reads
+    # 20,001 rows x 481 kernel nodes, 77 MB per array; batches of
+    # BATCH_CELLS cells keep the peak near the trajectory's own size
+    p = tanh_kernel_problem(sigma=20.0)
+    x = initial_trajectory(p, build_mesh(p, 2e-3))
+    assert len(x.mesh) == 10001
+    tracemalloc.start()
+    try:
+        residual(x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,6 +265,39 @@ def test_post_jump_read_clears_mesh_hit_at_small_steps(step):
     p = simple_problem(lambda t, psi: psi(0.0), g)
     x, _, _ = solve_picard(p, step=step)
     assert abs(x.values[-1, 0] - 4.0 * math.e) <= 1e-6
+
+
+@pytest.mark.parametrize("t0", [0.0, 1e5, 1e6])
+def test_post_jump_read_at_large_times(t0):
+    # x' = x with a unit impulse at t0 + 0.5: x(t0 + 1) = 4e.  A post-jump
+    # read nudged to mesh[j] + 1e-9 h rounded back onto the node once the
+    # float spacing near t0 passed the nudge, and missed by -1.8e-3 at 1e6
+    g = Integrator.with_jumps(1.0, [(t0 + 0.5, 1.0)])
+    p = replace(simple_problem(lambda t, psi: psi(0.0), g), t0=t0)
+    x, _, _ = solve_picard(p, step=2e-3)
+    assert x.mesh[-1] == t0 + 1.0
+    assert abs(x.values[-1, 0] - 4.0 * math.e) <= 1e-5
+
+
+def test_window_partition_with_callable_density_far_from_zero():
+    # windows are sized from g increments over the mesh, so a callable
+    # density is sampled O(mesh) times at t0 = 1e6, not integrated from 0
+    samples = [0]
+
+    def unit(s):
+        samples[0] += np.size(s)
+        return np.ones_like(s)
+
+    sols = {}
+    for t0 in (0.0, 1e6):
+        samples[0] = 0
+        p = replace(simple_problem(lambda t, psi: psi(0.0), Integrator(density=unit),
+                                   phi_value=1.0), t0=t0)
+        sols[t0], _, _ = solve_picard(p, step=0.01)
+        assert samples[0] <= 20 * len(sols[t0].mesh)
+    assert np.max(np.abs(sols[1e6].mesh - 1e6 - sols[0.0].mesh)) <= 1e-9
+    assert np.max(np.abs(sols[1e6].values - sols[0.0].values)) <= 1e-9
+    assert np.max(np.abs(sols[0.0].values[:, 0] - np.exp(sols[0.0].mesh))) < 1e-4
 
 
 def test_window_partition_covers_and_caps():
