@@ -206,20 +206,26 @@ def _summary_text(cfg: RunConfig, results: dict) -> str:
     return buf.getvalue()
 
 
-CSV_BLOCK_ROWS = 8192
+# Rows stacked and formatted per block.  At 2048 rows a block's Python
+# floats and text take about 1.5 MB, which keeps the writer below the peak
+# that the es loop's own buffers set.
+CSV_BLOCK_ROWS = 2048
 
 
 def _write_csv(path: str, header: str, columns) -> None:
-    """Columns as CSV rows, every value %.17g so it round-trips exactly."""
-    arr = np.column_stack(columns)
-    row_fmt = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+    """Columns as CSV rows, every value %.17g so it round-trips exactly.
+
+    Rows are stacked and formatted CSV_BLOCK_ROWS at a time, so neither the
+    whole table nor its values as Python floats are ever held at once.
+    """
+    columns = [np.asarray(col) for col in columns]
+    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        # block by block: one tolist() of a whole 200k-row trace would hold
-        # its every value as a Python float at once
-        for lo in range(0, len(arr), CSV_BLOCK_ROWS):
-            block = arr[lo:lo + CSV_BLOCK_ROWS].tolist()
-            fh.writelines([row_fmt % tuple(row) for row in block])
+        for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = np.column_stack([col[lo:lo + CSV_BLOCK_ROWS]
+                                     for col in columns])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 # -- subcommand runners --------------------------------------------------------
@@ -319,7 +325,7 @@ def _es_params(cfg: RunConfig) -> esc.EsParams:
         if d0 < 0:
             raise UsageError("constant delay must be nonnegative")
         delay_fn = esc.constant_delay(d0)
-        delay_grad = lambda th: 0.0 * esc._backend(th)[1]
+        delay_grad = esc.constant_delay(0.0)
     else:
         raise UsageError(f"unknown delay {delay_id!r}")
     key_map = {"k": "k_gain", "c": "c", "a": "a", "omega": "omega",

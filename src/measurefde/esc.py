@@ -185,18 +185,27 @@ class SimState:
     """Preallocated per-run buffers, advanced in place by step().
 
     The buffers are array("d"): indexing one returns a Python float, so the
-    loop's arithmetic never passes through numpy scalars.
+    loop's arithmetic never passes through numpy scalars.  `k` holds the
+    per-run constants step() reads, bound once here so the loop neither
+    recomputes them nor looks up EsParams attributes on every step.
+    integrand, ctrap, cum_g and cum_h serve the loop only; simulate() drops
+    them before the trace is assembled.
     """
 
-    __slots__ = ("p", "n", "n_steps", "t", "theta_hat", "U", "y_bar",
+    __slots__ = ("k", "n", "n_steps", "t", "theta_hat", "U", "y_bar",
                  "theta", "y", "G", "H_hat", "U_arr", "Gamma",
                  "phi", "margin", "cum_g", "cum_h", "integrand", "ctrap",
                  "m_window", "aborted", "abort_reason")
 
     def __init__(self, p: EsParams):
-        self.p = p
+        a, dt = p.a, p.dt
+        self.k = (dt, 0.5 * dt, dt / 6.0, p.theta_hat0, a, p.omega,
+                  2.0 * p.omega, 2.0 / a, -(8.0 / (a * a)),
+                  math.exp(-p.washout * dt), p.washout > 0.0, p.y_star,
+                  0.5 * p.hessian, p.theta_star, p.k_gain, p.c,
+                  p.predictor_on, p.divergence_cap, p.delay_fn, p.delay_grad)
         self.n = 0
-        self.n_steps = int(round(p.t_end / p.dt))
+        self.n_steps = int(round(p.t_end / dt))
         n1 = self.n_steps + 1
         self.t = 0.0
         self.theta_hat = p.theta_hat0
@@ -214,61 +223,63 @@ class SimState:
     # retained theta_hat history is implicit: theta array carries it
 
 
-def _theta_delayed(state: SimState, tau: float) -> float:
-    p = state.p
-    if tau <= 0.0:
-        return p.theta_hat0 + p.a * math.sin(p.omega * tau)
-    j = int(tau / p.dt)
-    th = state.theta
-    if j >= state.n:
-        return th[state.n]
-    frac = tau / p.dt - j
-    return th[j] + frac * (th[j + 1] - th[j])
-
-
 def step(p: EsParams, state: SimState) -> SimState:
     """Advance the closed loop by one fixed step.
 
     Computes the probe, delayed output, demodulated estimates, predictor
     term and feasibility margin at the current time, then advances the
     filter state and the estimate with a fourth-order explicit rule holding
-    the bracket k * (G + Gamma) over the step.
+    the bracket k * (G + Gamma) over the step.  The constants of p are
+    read from state.k, where SimState(p) bound them.
     """
+    (dt, half_dt, sixth_dt, theta_hat0, a, omega, two_omega, m_amp, n_amp,
+     decay, washout_on, y_star, half_h, theta_star, k_gain, c,
+     predictor_on, divergence_cap, delay_fn, grad) = state.k
     n = state.n
-    t = n * p.dt
+    t = n * dt
     state.t = t
-    delay_fn = p.delay_fn
-    grad = p.delay_grad
+    th = state.theta
 
-    theta = state.theta_hat + p.a * math.sin(p.omega * t)
-    state.theta[n] = theta
+    theta = state.theta_hat + a * math.sin(omega * t)
+    th[n] = theta
     d = float(delay_fn(theta))
     phi = t - d
     state.phi[n] = phi
-    y = p.y_star + 0.5 * p.hessian * (_theta_delayed(state, phi) - p.theta_star) ** 2
+    # theta at the delayed time: the probing extension before 0, the stored
+    # samples interpolated after, and the newest sample past the end
+    if phi <= 0.0:
+        theta_del = theta_hat0 + a * math.sin(omega * phi)
+    else:
+        j = int(phi / dt)
+        if j >= n:
+            theta_del = th[n]
+        else:
+            frac = phi / dt - j
+            theta_del = th[j] + frac * (th[j + 1] - th[j])
+    y = y_star + half_h * (theta_del - theta_star) ** 2
     state.y[n] = y
 
     if state.y_bar is None:
         state.y_bar = y
-    if p.washout > 0.0:
+    if washout_on:
         y_w = y - state.y_bar
-        decay = math.exp(-p.washout * p.dt)
         state.y_bar = y + (state.y_bar - y) * decay
     else:
         y_w = y
 
-    td = phi if p.predictor_on else t
-    m_sig = (2.0 / p.a) * math.sin(p.omega * td)
-    n_sig = -(8.0 / (p.a * p.a)) * math.cos(2.0 * p.omega * td)
+    td = phi if predictor_on else t
+    m_sig = m_amp * math.sin(omega * td)
+    n_sig = n_amp * math.cos(two_omega * td)
     g_raw = m_sig * y_w
     h_raw = n_sig * y_w
-    state.cum_g[n + 1] = state.cum_g[n] + g_raw
-    state.cum_h[n + 1] = state.cum_h[n] + h_raw
-    if p.washout > 0.0:
+    cum_g, cum_h = state.cum_g, state.cum_h
+    cum_g[n + 1] = cum_g[n] + g_raw
+    cum_h[n + 1] = cum_h[n] + h_raw
+    if washout_on:
         m = state.m_window
         lo = n + 1 - m if n + 1 >= m else 0
-        g_est = (state.cum_g[n + 1] - state.cum_g[lo]) / m
-        h_est = (state.cum_h[n + 1] - state.cum_h[lo]) / m
+        g_est = (cum_g[n + 1] - cum_g[lo]) / m
+        h_est = (cum_h[n + 1] - cum_h[lo]) / m
     else:
         g_est, h_est = g_raw, h_raw
     state.G[n] = g_est
@@ -280,25 +291,23 @@ def step(p: EsParams, state: SimState) -> SimState:
     state.margin[n] = dn
 
     gamma = 0.0
-    if p.predictor_on:
+    if predictor_on:
         if dn <= DENOM_FLOOR:
             state.aborted = True
             state.abort_reason = (f"feasibility: denominator {dn:.3e} "
                                   f"at t={t:.6f}")
             return state
-        state.integrand[n] = u / dn
+        integrand, ctrap = state.integrand, state.ctrap
+        integrand[n] = u / dn
         if n > 0:
-            state.ctrap[n] = state.ctrap[n - 1] + 0.5 * p.dt * (
-                state.integrand[n - 1] + state.integrand[n])
+            ctrap[n] = ctrap[n - 1] + half_dt * (integrand[n - 1] + integrand[n])
         if n > 0 and phi < t:
             lo_t = max(phi, 0.0)
-            j = min(int(lo_t / p.dt), n - 1)
-            frac = lo_t / p.dt - j
-            i_lo = state.integrand[j] + frac * (state.integrand[j + 1]
-                                                - state.integrand[j])
-            partial = ((j + 1) * p.dt - lo_t) * 0.5 * (
-                i_lo + state.integrand[j + 1])
-            gamma = h_est * (state.ctrap[n] - state.ctrap[j + 1] + partial)
+            j = min(int(lo_t / dt), n - 1)
+            frac = lo_t / dt - j
+            i_lo = integrand[j] + frac * (integrand[j + 1] - integrand[j])
+            partial = ((j + 1) * dt - lo_t) * 0.5 * (i_lo + integrand[j + 1])
+            gamma = h_est * (ctrap[n] - ctrap[j + 1] + partial)
     state.Gamma[n] = gamma
 
     if n >= state.n_steps:
@@ -306,27 +315,25 @@ def step(p: EsParams, state: SimState) -> SimState:
         return state
 
     # advance [U, theta_hat] one step of classic RK4 with the bracket held
-    w = p.k_gain * (g_est + gamma)
-    c = p.c
-    dt = p.dt
+    w = k_gain * (g_est + gamma)
     u0 = state.U
     h0 = state.theta_hat
     k1u = c * (w - u0)
     k1h = u0
-    u_mid = u0 + 0.5 * dt * k1u
+    u_mid = u0 + half_dt * k1u
     k2u = c * (w - u_mid)
     k2h = u_mid
-    u_mid2 = u0 + 0.5 * dt * k2u
+    u_mid2 = u0 + half_dt * k2u
     k3u = c * (w - u_mid2)
     k3h = u_mid2
     u_end = u0 + dt * k3u
     k4u = c * (w - u_end)
     k4h = u_end
-    state.U = u0 + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    state.theta_hat = h0 + dt / 6.0 * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
+    state.U = u0 + sixth_dt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    state.theta_hat = h0 + sixth_dt * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
     state.n = n + 1
 
-    if not math.isfinite(state.theta_hat) or abs(state.theta_hat) > p.divergence_cap:
+    if not math.isfinite(state.theta_hat) or abs(state.theta_hat) > divergence_cap:
         state.aborted = True
         state.abort_reason = f"divergence: |theta_hat| at t={t:.6f}"
     return state
@@ -342,6 +349,7 @@ def simulate(p: EsParams) -> EsTrace:
     state = SimState(p)
     while state.n <= state.n_steps and not state.aborted:
         step(p, state)
+    state.integrand = state.ctrap = state.cum_g = state.cum_h = None
     n_have = state.n if not state.aborted else max(state.n, 1)
     trace = _finalize(p, state, n_have)
     if state.aborted and state.abort_reason.startswith("feasibility"):
@@ -350,20 +358,38 @@ def simulate(p: EsParams) -> EsTrace:
     return trace
 
 
+# Rows per block of the trace-level passes below: each block's temporaries
+# stay in cache, and no pass allocates whole-trace scratch arrays.
+BLOCK_ROWS = 8192
+# Bisection tolerance on sigma, and the bracket doublings allowed to close it.
+SIGMA_TOL = 1e-10
+SIGMA_MAX_EXPAND = 8
+
+
+def _blocks(n: int):
+    """Slices covering range(n) in steps of BLOCK_ROWS."""
+    for lo in range(0, n, BLOCK_ROWS):
+        yield slice(lo, min(lo + BLOCK_ROWS, n))
+
+
 def _finalize(p: EsParams, state: SimState, n_have: int) -> EsTrace:
     def view(buf):
         return np.frombuffer(buf)[:n_have]
 
     times = np.arange(n_have) * p.dt
     theta, phi = view(state.theta), view(state.phi)
-    d_vals = times - phi
     flags: dict = {}
     if state.aborted:
         flags["diverged"] = state.abort_reason.startswith("divergence")
         flags["abort_reason"] = state.abort_reason
     if n_have > 1:
-        rate = np.diff(d_vals) / p.dt
-        frac = float(np.mean(np.abs(rate) >= 1.0))
+        # steps where |d/dt D(theta(t))| >= 1, D = t - phi, one block at a time
+        exceeded = 0
+        for sl in _blocks(n_have - 1):
+            pair = slice(sl.start, sl.stop + 1)
+            rate = np.diff(times[pair] - phi[pair]) / p.dt
+            exceeded += int(np.count_nonzero(np.abs(rate) >= 1.0))
+        frac = exceeded / (n_have - 1)
         flags["delay_rate_exceeded_fraction"] = frac
         flags["delay_rate_warning"] = bool(frac > 0.0)
     trace = EsTrace(params=p, times=times, theta=theta,
@@ -376,40 +402,58 @@ def _finalize(p: EsParams, state: SimState, n_have: int) -> EsTrace:
     return trace
 
 
-def prediction_times(p: EsParams, trace: EsTrace, tol: float = 1e-10,
-                     max_expand: int = 8) -> np.ndarray:
+def prediction_times(p: EsParams, trace: EsTrace) -> np.ndarray:
     """Vectorised inversion of the delayed time over the whole trace.
 
-    theta is extended past the end of the trace by its final value, which
-    keeps the bracket well defined near t_end.
+    sigma(t) is the bisection's crossing of phi(s) = t inside the bracket
+    [t, t + k (max D so far + 1)]; where the delay rate reaches 1, phi is not
+    monotone and several crossings may exist.  theta is extended past the
+    end of the trace by its final value, which keeps the bracket well
+    defined near t_end.  The work runs in blocks of BLOCK_ROWS times; the
+    bisection count comes from the widest bracket over the whole trace, so
+    sigma does not depend on the block size.
     """
     ts = trace.times
-    if len(ts) == 0:
-        return np.array([])
-    d_vals = ts - trace.phi_t
-    d_run = np.maximum.accumulate(d_vals)
+    n = len(ts)
+    out = np.empty(n)
+    if n == 0:
+        return out
 
     def phi_of(s):
         th = np.interp(s, ts, trace.theta)
         return s - np.asarray(p.delay_fn(th), dtype=float)
 
-    lo = ts.copy()
-    hi = ts + d_run + 1.0
-    for _ in range(max_expand):
-        short = phi_of(hi) < ts
-        if not short.any():
-            break
-        hi[short] += d_run[short] + 1.0
-    else:
-        raise AssumptionViolationError("prediction-time bracket failed to close")
-    span = float(np.max(hi - lo))
-    n_iter = max(1, int(math.ceil(math.log2(span / tol))))
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        below = phi_of(mid) < ts
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    # first pass: close each bracket and keep its upper end in `out`
+    d_max = -np.inf
+    span = 0.0
+    for sl in _blocks(n):
+        t_blk = ts[sl]
+        d_run = np.maximum.accumulate(t_blk - trace.phi_t[sl])
+        np.maximum(d_run, d_max, out=d_run)
+        d_max = d_run[-1]
+        hi = t_blk + d_run + 1.0
+        for _ in range(SIGMA_MAX_EXPAND):
+            short = phi_of(hi) < t_blk
+            if not short.any():
+                break
+            hi[short] += d_run[short] + 1.0
+        else:
+            raise AssumptionViolationError("prediction-time bracket failed to close")
+        out[sl] = hi
+        span = np.maximum(span, np.max(hi - t_blk))
+    n_iter = max(1, int(math.ceil(math.log2(float(span) / SIGMA_TOL))))
+
+    # second pass: bisect every bracket n_iter times
+    for sl in _blocks(n):
+        t_blk = ts[sl]
+        lo, hi = t_blk, out[sl]
+        for _ in range(n_iter):
+            mid = 0.5 * (lo + hi)
+            below = phi_of(mid) < t_blk
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        out[sl] = 0.5 * (lo + hi)
+    return out
 
 
 # -- metrics and diagnostics ---------------------------------------------------
@@ -469,9 +513,13 @@ def transport_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 21,
     idx, xs, alpha = _transport_grid(p, trace, n_x, max_times, trace.theta_at)
 
     # inflow boundary via the prediction-time inversion, on the full grid
-    th_sigma = trace.theta_at(trace.sigma_t)
-    phi_of_sigma = trace.sigma_t - np.asarray(p.delay_fn(th_sigma), dtype=float)
-    err1 = float(np.max(np.abs(trace.theta_at(phi_of_sigma) - trace.theta)))
+    err1 = 0.0
+    for sl in _blocks(len(trace.times)):
+        sg = trace.sigma_t[sl]
+        phi_of_sigma = sg - np.asarray(p.delay_fn(trace.theta_at(sg)), dtype=float)
+        err1 = np.maximum(err1, np.max(np.abs(trace.theta_at(phi_of_sigma)
+                                              - trace.theta[sl])))
+    err1 = float(err1)
     # outflow boundary against the trace's own delayed time, decimated grid
     err0 = float(np.max(np.abs(alpha[:, 0] - trace.theta_at(trace.phi_t[idx]))))
     return PdeDiag(xs, trace.times[idx], alpha, max(err0, err1))

@@ -206,8 +206,9 @@ def integrate(f: Callable[[float], object], g: Integrator, a: float, b: float,
 def _simpson_segment(f, density, a: float, b: float, panel: float) -> np.ndarray:
     # the segment ends sit on declared breakpoints or jump times, where a
     # regulated f may be discontinuous: sample its one-sided values there
-    # (the point value at the breakpoint itself has no mass here)
-    nudge = max(1e-13, 1e-12 * (b - a))
+    # (the point value at the breakpoint itself has no mass here); a few ulps
+    # at least, so the nudge still moves the end far from t = 0
+    nudge = max(1e-13, 1e-12 * (b - a), 4.0 * math.ulp(max(abs(a), abs(b))))
     total = 0.0
     for xs, w in _simpson_blocks(a, b, max(1, int(math.ceil((b - a) / panel)))):
         pts = xs.tolist()

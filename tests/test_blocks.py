@@ -1,0 +1,91 @@
+"""The ES output path works in blocks without the blocks showing.
+
+sigma, the transport check and the trace CSV must not depend on the block
+sizes, and the whole `es` run must hold a bounded number of float64 per
+trace row: the blocks' temporaries are fixed in size, so only the trace
+itself grows with t_end.
+"""
+
+import contextlib
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from measurefde import cli, esc
+
+# 20001 rows: more than two default blocks, and a partial last block at
+# both the default size and 7 rows
+T_END = 20.0
+ROWS = 20001
+CASES = {
+    "table1": {},      # phi is not monotone here: several crossings exist
+    "const_0.3": {"delay_fn": esc.constant_delay(0.3),
+                  "delay_grad": esc.constant_delay(0.0)},
+    "predictor_off": {"predictor_on": False},
+}
+BLOCK_SIZES = (10 ** 9, 7)
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case_trace(request):
+    p = esc.table1_params(t_end=T_END, **CASES[request.param])
+    trace = esc.simulate(p)
+    assert len(trace.times) == ROWS
+    for size in (esc.BLOCK_ROWS, cli.CSV_BLOCK_ROWS, 7):
+        assert ROWS > 2 * size and ROWS % size != 0
+    if request.param == "table1":
+        assert trace.flags["delay_rate_exceeded_fraction"] > 0.0
+    return p, trace
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_sigma_and_transport_check_independent_of_block_size(case_trace, size,
+                                                             monkeypatch):
+    p, trace = case_trace
+    err = esc.transport_diagnostic(p, trace).boundary_max_err
+    monkeypatch.setattr(esc, "BLOCK_ROWS", size)
+    assert np.array_equal(esc.prediction_times(p, trace), trace.sigma_t)
+    assert esc.transport_diagnostic(p, trace).boundary_max_err == err
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_trace_csv_independent_of_block_size(case_trace, size, tmp_path,
+                                             monkeypatch):
+    _, tr = case_trace
+    columns = (tr.times, tr.theta, tr.theta_hat, tr.y, tr.G, tr.H_hat, tr.U,
+               tr.Gamma, tr.phi_t, tr.sigma_t, tr.feas_margin)
+    cli._write_csv(str(tmp_path / "default.csv"), "h", columns)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", size)
+    cli._write_csv(str(tmp_path / "patched.csv"), "h", columns)
+    assert (tmp_path / "patched.csv").read_bytes() \
+        == (tmp_path / "default.csv").read_bytes()
+
+
+def test_delay_rate_flag_matches_whole_trace_rule(case_trace):
+    p, tr = case_trace
+    rate = np.diff(tr.times - tr.phi_t) / p.dt
+    assert tr.flags["delay_rate_exceeded_fraction"] \
+        == float(np.mean(np.abs(rate) >= 1.0))
+
+
+def _es_peak_bytes(t_end: float, out: str) -> int:
+    cfg = cli.parse_args(["es", "--preset", "table1", "--t-end", str(t_end),
+                          "--dt", "2e-3", "--out", out])
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(cfg) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_es_run_memory_per_trace_row(tmp_path):
+    # 10001 and 30001 rows: both past one full block, so the difference is
+    # what the trace itself costs; 11 output columns plus the loop's buffers
+    peak_20 = _es_peak_bytes(20.0, str(tmp_path / "a"))
+    peak_60 = _es_peak_bytes(60.0, str(tmp_path / "b"))
+    per_row = (peak_60 - peak_20) / (8 * (30001 - 10001))
+    assert per_row <= 14.0

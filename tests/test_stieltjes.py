@@ -296,6 +296,17 @@ def test_caller_declared_breakpoints_sharpen_discontinuous_integrand():
     assert with_bp == pytest.approx(exact, abs=1e-12)
 
 
+
+@pytest.mark.parametrize("c", [0.5, 1e3, 1e5, 1e6])
+def test_breakpoint_end_samples_one_sided_at_any_t(c):
+    # the Simpson end samples must land on the step's own side of c, so the
+    # right half integrates f = 1 over [c, c + 1] and the left half f = 0
+    step_at_c = lambda s: 1.0 if s >= c else 0.0
+    val = float(integrate(step_at_c, IDENTITY, c - 1.0, c + 1.0,
+                          breakpoints=[c])[0])
+    assert val == 1.0
+
+
 def test_check_gronwall_with_jumpy_integrator():
     # sharp solution of psi = 1 + 2 int psi dg for g with a unit jump at 0.5:
     # exponential in the continuous part, factor (1 + 2 * jump) at the jump;
