@@ -4,14 +4,14 @@ left-continuous integrators, a Picard solver with impulse support, a
 periodic-averaging verification harness with an explicit error constant, and
 an extremum-seeking simulator with predictor feedback."""
 
-from .stieltjes import (Integrator, QuadConfig, GronwallReport, check_gronwall,
-                        integrate, refine_ladder)
+from .stieltjes import (Integrator, GronwallReport, check_gronwall, integrate,
+                        refine_ladder)
 from .phase_space import (EXP_WEIGHT, UNIFORM_WEIGHT, BoundCandidates,
                           RegulatedFn, Segment, Weight, check_memory_bounds,
                           check_shift_bound, exp_weight_candidates, phase_norm,
                           segment, shift)
-from .mfde import (MfdeProblem, ProblemBounds, Trajectory, check_bounds,
-                   gamma_apply, residual, solve_picard, tanh_kernel_problem)
+from .mfde import (MfdeProblem, ProblemBounds, Trajectory, gamma_apply,
+                   residual, solve_picard, tanh_kernel_problem)
 from .averaging import (AvgProblem, AvgReport, compare, error_constant,
                         linear_periodic_problem, sine_problem, solve_averaged,
                         solve_original)
@@ -20,14 +20,14 @@ from .esc import (EsParams, EsTrace, PdeDiag, lyapunov_diagnostic, simulate,
                   transport_diagnostic)
 
 __all__ = [
-    "Integrator", "QuadConfig", "GronwallReport", "check_gronwall",
-    "integrate", "refine_ladder",
+    "Integrator", "GronwallReport", "check_gronwall", "integrate",
+    "refine_ladder",
     "EXP_WEIGHT", "UNIFORM_WEIGHT", "BoundCandidates", "RegulatedFn", "Segment",
     "Weight", "check_memory_bounds", "check_shift_bound",
     "exp_weight_candidates", "phase_norm",
     "segment", "shift",
-    "MfdeProblem", "ProblemBounds", "Trajectory", "check_bounds", "gamma_apply",
-    "residual", "solve_picard", "tanh_kernel_problem",
+    "MfdeProblem", "ProblemBounds", "Trajectory", "gamma_apply", "residual",
+    "solve_picard", "tanh_kernel_problem",
     "AvgProblem", "AvgReport", "compare", "error_constant",
     "linear_periodic_problem", "sine_problem", "solve_averaged",
     "solve_original",

@@ -13,13 +13,15 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import averaging, esc, mfde, stieltjes
-from .stieltjes import Integrator, QuadConfig
+from .stieltjes import Integrator
 
 # expressions usable for --f and --density (densities must be nonnegative)
 EXPRESSIONS = {
@@ -59,6 +61,17 @@ class RunConfig:
 
 class UsageError(ValueError):
     pass
+
+
+@contextmanager
+def _bad_arguments():
+    """Inside, a ValueError comes from checking the run's arguments or
+    building its problem: it is raised as a UsageError.  Only setup runs
+    inside, so the typed numerical failures never pass through here."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_jumps(text: str):
@@ -238,13 +251,18 @@ def _run_integrate(cfg: RunConfig) -> int:
             raise UsageError(f"unknown expression {prm[key]!r}; "
                              f"choose from {sorted(EXPRESSIONS)}")
     f = EXPRESSIONS[prm["f"]]
-    g = Integrator(density=EXPRESSIONS[prm["density"]],
-                   jumps=_parse_jumps(prm["jumps"]))
     a, b = float(prm["from"]), float(prm["to"])
-    qc = QuadConfig(base_mesh=float(prm["mesh"]))
+    with _bad_arguments():
+        g = Integrator(density=EXPRESSIONS[prm["density"]],
+                       jumps=_parse_jumps(prm["jumps"]))
+        panel, levels = float(prm["mesh"]), int(prm["levels"])
+        if not (math.isfinite(panel) and panel > 0):
+            raise ValueError("mesh must be finite and positive")
+        if levels <= 0:
+            raise ValueError("levels must be positive")
     scalar_f = lambda s: float(np.asarray(f(s)))
-    value = float(stieltjes.integrate(scalar_f, g, a, b, qc)[0])
-    ladder = stieltjes.refine_ladder(scalar_f, g, a, b, int(prm["levels"]))
+    value = float(stieltjes.integrate(scalar_f, g, a, b, panel)[0])
+    ladder = stieltjes.refine_ladder(scalar_f, g, a, b, levels)
     print(f"value,{value:.17g}")
     print("level,approximation,abs_delta")
     for lvl, approx in enumerate(ladder):
@@ -257,11 +275,15 @@ def _run_mfde(cfg: RunConfig) -> int:
     prm = cfg.params
     if prm["example"] != "tanh":
         raise UsageError(f"unknown example {prm['example']!r}")
-    problem = mfde.tanh_kernel_problem(sigma=float(prm["sigma"]),
-                                       t0=float(prm["t0"]),
-                                       tol=float(prm["tol"]),
-                                       jumps=_parse_jumps(str(prm["jumps"])))
-    traj, iters, delta = mfde.solve_picard(problem, step=float(prm["step"]))
+    with _bad_arguments():
+        problem = mfde.tanh_kernel_problem(sigma=float(prm["sigma"]),
+                                           t0=float(prm["t0"]),
+                                           tol=float(prm["tol"]),
+                                           jumps=_parse_jumps(str(prm["jumps"])))
+        step = float(prm["step"])
+        if not step > 0:
+            raise ValueError("step must be positive")
+    traj, iters, delta = mfde.solve_picard(problem, step=step)
     defect = mfde.residual(traj, problem)
     _write_csv(f"{cfg.out}_trajectory.csv", "t,value_0,post_jump_value_0",
                (traj.mesh, traj.values[:, 0], traj.post_jump_values[:, 0]))
@@ -293,7 +315,8 @@ def _avg_problem(cfg: RunConfig) -> averaging.AvgProblem:
 
 
 def _run_avg(cfg: RunConfig) -> int:
-    problem = _avg_problem(cfg)
+    with _bad_arguments():
+        problem = _avg_problem(cfg)
     eps_list = _parse_eps(cfg.params["eps"])
     bad = [e for e in eps_list if not 0.0 < e <= problem.eps0]
     if bad:
@@ -335,7 +358,7 @@ def _es_params(cfg: RunConfig) -> esc.EsParams:
     kw = {field: float(prm[flag]) for flag, field in key_map.items()}
     kw.update(delay_fn=delay_fn, delay_grad=delay_grad,
               predictor_on=str(prm["predictor"]) == "on")
-    try:
+    with _bad_arguments():
         if str(prm["preset"]) == "table1":
             # preset supplies the stock block; explicitly set keys override it
             overrides = {key_map[f]: kw[key_map[f]] for f in key_map
@@ -345,8 +368,6 @@ def _es_params(cfg: RunConfig) -> esc.EsParams:
                 overrides.update(delay_fn=delay_fn, delay_grad=delay_grad)
             return esc.table1_params(**overrides)
         return esc.EsParams(**kw)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _run_es(cfg: RunConfig) -> int:

@@ -71,7 +71,9 @@ def constant_delay(d0: float):
     return fn
 
 
-def central_diff_grad(delay_fn, h: float = 1e-6):
+def central_diff_grad(delay_fn):
+    h = 1e-6
+
     def grad(theta):
         return (delay_fn(theta + h) - delay_fn(theta - h)) / (2.0 * h)
     return grad
@@ -107,6 +109,8 @@ class EsParams:
             raise ValueError("hessian must be negative (maximum seeking)")
         if self.a == 0:
             raise ValueError("probe amplitude must be nonzero")
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
         if self.omega * self.dt > 0.05:
             raise ValueError("omega * dt must stay at or below 0.05")
         probe = np.linspace(-20.0, 20.0, 801)
@@ -502,15 +506,15 @@ def _transport_grid(p: EsParams, trace: EsTrace, n_x: int, max_times: int,
     return idx, xs, grid
 
 
-def transport_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 21,
-                         max_times: int = 400) -> PdeDiag:
+def transport_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 21) -> PdeDiag:
     """Transport view alpha(x, t) = theta(phi(t + x (sigma(t) - t))).
 
-    The stored alpha matrix is decimated in time; the boundary identities
-    alpha(1, t) = theta(t) and alpha(0, t) = theta(t - D(theta(t))) are
-    evaluated at every stored time and the worst violation is reported.
+    The stored alpha matrix is decimated in time to at most about 400 rows;
+    the boundary identities alpha(1, t) = theta(t) and
+    alpha(0, t) = theta(t - D(theta(t))) are evaluated at every stored time
+    and the worst violation is reported.
     """
-    idx, xs, alpha = _transport_grid(p, trace, n_x, max_times, trace.theta_at)
+    idx, xs, alpha = _transport_grid(p, trace, n_x, 400, trace.theta_at)
 
     # inflow boundary via the prediction-time inversion, on the full grid
     err1 = 0.0

@@ -118,15 +118,6 @@ class RegulatedFn:
         tail = v[0] if tail_value is None else tail_value
         return cls([seg], tail)
 
-    @classmethod
-    def from_callable(cls, fn, window_start: float, n_samples: int = 256,
-                      tail_value=0.0) -> "RegulatedFn":
-        t = np.linspace(window_start, 0.0, n_samples)
-        vals = np.stack([np.atleast_1d(np.asarray(fn(float(x)), float)) for x in t])
-        dim = vals.shape[1]
-        tail = np.broadcast_to(np.atleast_1d(np.asarray(tail_value, float)), (dim,))
-        return cls([Segment(t, vals)], np.array(tail))
-
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, theta) -> np.ndarray:
@@ -179,21 +170,8 @@ class RegulatedFn:
             return self.segments[i - 1].values[-1].copy()
         return np.atleast_1d(self.eval(theta))
 
-    def right_limit(self, theta: float) -> np.ndarray:
-        if theta < self._bounds[0]:
-            return self.tail_value.copy()
-        i = int(np.searchsorted(self._bounds, theta, side="left"))
-        if i < len(self.segments) and abs(self._bounds[i] - theta) < 1e-15:
-            return self.segments[i].values[0].copy()
-        return np.atleast_1d(self.eval(theta))
-
     def sample_points(self) -> np.ndarray:
         return np.concatenate([s.thetas for s in self.segments])
-
-    def scaled(self, alpha: float) -> "RegulatedFn":
-        segs = [Segment(s.thetas.copy(), alpha * s.values) for s in self.segments]
-        pv = [(t, alpha * v) for t, v in self.point_values]
-        return RegulatedFn(segs, alpha * self.tail_value, pv)
 
 
 @dataclass(frozen=True)
@@ -225,9 +203,9 @@ EXP_WEIGHT = Weight("exp_pos")
 UNIFORM_WEIGHT = Weight("constant_one")
 
 
-def phase_norm(phi: RegulatedFn, weight: Weight = EXP_WEIGHT,
-               grid_per_segment: int = 64) -> float:
-    """Weighted sup norm over the window, exact up to grid resolution.
+def phase_norm(phi: RegulatedFn, weight: Weight = EXP_WEIGHT) -> float:
+    """Weighted sup norm over the window, exact at the samples and refined
+    between them on 64 points per segment.
 
     For the exponential weight the tail must be zero (otherwise the sup over
     theta -> -inf diverges); the flat weight includes the tail value.
@@ -237,9 +215,7 @@ def phase_norm(phi: RegulatedFn, weight: Weight = EXP_WEIGHT,
         raise InfiniteNormError("exp weight requires a zero tail value")
     best = tail_norm if weight.kind == "constant_one" else 0.0
     for seg in phi.segments:
-        pts = np.union1d(seg.thetas,
-                         np.linspace(seg.thetas[0], seg.thetas[-1], grid_per_segment))
-        # exact at samples; refined between them
+        pts = np.union1d(seg.thetas, np.linspace(seg.thetas[0], seg.thetas[-1], 64))
         vals = np.empty((len(pts), phi.dim))
         for d in range(phi.dim):
             vals[:, d] = np.interp(pts, seg.thetas, seg.values[:, d])

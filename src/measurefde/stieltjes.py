@@ -30,20 +30,6 @@ class IntegrandError(ValueError):
 
 
 @dataclass(frozen=True)
-class QuadConfig:
-    """Composite-quadrature settings for :func:`integrate`."""
-
-    base_mesh: float = PANEL
-
-    def __post_init__(self):
-        if self.base_mesh <= 0:
-            raise ValueError("QuadConfig.base_mesh must be strictly positive")
-
-
-DEFAULT_QUAD = QuadConfig()
-
-
-@dataclass(frozen=True)
 class Integrator:
     """Nondecreasing, left-continuous function on the real line with g(0) = 0:
     g(t) = int_0^t density + (jumps below t) - (jumps below 0).
@@ -177,17 +163,20 @@ def _as_vec(value) -> np.ndarray:
 
 
 def integrate(f: Callable[[float], object], g: Integrator, a: float, b: float,
-              cfg: QuadConfig = DEFAULT_QUAD,
+              panel: float = PANEL,
               breakpoints: Sequence[float] = ()) -> np.ndarray:
     """Approximate the Stieltjes integral of f against g over [a, b].
 
-    Composite Simpson of f * density on subintervals split at all jump times
-    of g and at caller-declared breakpoints of f, plus sum of f(tau) * jump
-    over jumps with a <= tau < b.  a > b is handled by a sign flip.  f
-    returns a scalar or a vector of one fixed length.
+    Composite Simpson of f * density, with panels at most panel wide, on
+    subintervals split at all jump times of g and at caller-declared
+    breakpoints of f, plus sum of f(tau) * jump over jumps with
+    a <= tau < b.  a > b is handled by a sign flip.  f returns a scalar or a
+    vector of one fixed length.
     """
+    if not (math.isfinite(panel) and panel > 0):
+        raise ValueError("panel must be finite and positive")
     if a > b:
-        return -integrate(f, g, b, a, cfg, breakpoints)
+        return -integrate(f, g, b, a, panel, breakpoints)
     probe = _as_vec(f(a))
     total = np.zeros_like(probe)
     if a == b:
@@ -197,7 +186,7 @@ def integrate(f: Callable[[float], object], g: Integrator, a: float, b: float,
     cuts.update(t for t in breakpoints if a < t < b)
     pts = sorted(cuts)
     for u, v in zip(pts, pts[1:]):
-        total += _simpson_segment(f, g.density, u, v, cfg.base_mesh)
+        total += _simpson_segment(f, g.density, u, v, panel)
     for tau, mag in g.jumps_in(a, b):
         total += _as_vec(f(tau)) * mag
     return total
@@ -262,8 +251,7 @@ class GronwallReport:
 
 def check_gronwall(psi: Callable[[float], float], k: float, l: float,
                    g: Integrator, a: float, b: float,
-                   n_grid: int = 129, cfg: QuadConfig = DEFAULT_QUAD,
-                   slack: float = 1e-8) -> GronwallReport:
+                   n_grid: int = 129, slack: float = 1e-8) -> GronwallReport:
     """Grid verification of the Gronwall implication for psi against g.
 
     At every grid point xi the hypothesis psi(xi) <= k + l * int_a^xi psi dg
@@ -279,7 +267,7 @@ def check_gronwall(psi: Callable[[float], float], k: float, l: float,
     gv = g.values_at(grid)
     cum = np.zeros_like(grid)
     for i in range(1, len(grid)):
-        piece = integrate(psi, g, float(grid[i - 1]), float(grid[i]), cfg)
+        piece = integrate(psi, g, float(grid[i - 1]), float(grid[i]))
         cum[i] = cum[i - 1] + float(piece[0])
     hyp_rhs = k + l * cum
     bound = k * np.exp(l * (gv - gv[0]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import _MESH_HIT, HistoryRangeError, RegulatedFn, segment
+from .phase_space import _MESH_HIT, HistoryRangeError, RegulatedFn
 
 
 @dataclass
@@ -22,9 +22,7 @@ class Trajectory:
 
     The stored value at a jump time is the left value; the post-jump value
     sits alongside, so the trajectory is left-continuous and jumps to the
-    right of each jump time of g.  Histories returned by history_at are
-    built from copies and share no storage with the value arrays; at t0
-    without a depth cut it is the initial history itself.
+    right of each jump time of g.
     """
 
     mesh: np.ndarray
@@ -33,16 +31,9 @@ class Trajectory:
     initial_history: RegulatedFn
     t0: float
 
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.mesh.copy(), self.values.copy(),
-                          self.post_jump_values.copy(), self.initial_history, self.t0)
-
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def history_at(self, t: float, max_depth: float | None = None) -> RegulatedFn:
-        return segment(self, t, max_depth)
 
     def value_at(self, t) -> np.ndarray:
         """x at absolute times t: phi0(t - t0) at or below t0, the stored

@@ -11,6 +11,14 @@ integrate, as a reference for the fixed rule of make_averaged_rule.
 The trajectory oracle is the per-point loop Trajectory.value_at ran before
 it was vectorised, kept as a reference for the vectorised lookup.
 
+The bounds oracle spot-checks the bound functions a problem declares.  On
+random subintervals it compares the integral of f on a random history
+against that of M, and the integrals of the differences of f and rho_delay
+between two random histories (or two shifts of one random trajectory)
+against those of L, L3 and L2 times the gap between them.  The Picard
+solver reads L, L2 and L3 to size its contraction windows, so a declared
+constant that fails here would make the window certificate dishonest.
+
 The extremum-seeking oracles recompute, from a finished trace, the delayed
 output, the prediction time and the predictor integral at a single time.
 They read the trace through EsTrace.theta_at and np.interp only, so they
@@ -20,10 +28,16 @@ vectorised inversion in esc.prediction_times.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
+from measurefde.averaging import _random_history, history_gap_norm
 from measurefde.esc import (DENOM_FLOOR, AssumptionViolationError,
                             FeasibilityError, static_map)
+from measurefde.mfde import build_mesh, initial_trajectory
+from measurefde.phase_space import _ratio, segment
 from measurefde.stieltjes import integrate
 
 
@@ -113,6 +127,70 @@ def march_heun(problem, step: float):
         k2 = rhs(s + step, i + 2)
         vals[i + 1] = vals[i] + 0.5 * step * (k1 + k2)
     return times[:n_steps + 1], vals[:n_steps + 1]
+
+
+# -- declared bounds -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HypothesisReport:
+    name: str
+    worst_ratio: float
+    passed: bool
+    note: str = ""
+
+    def summary(self) -> str:
+        return (f"{self.name}: worst ratio {self.worst_ratio:.4g} "
+                f"({'pass' if self.passed else 'FAIL'})"
+                + (f" [{self.note}]" if self.note else ""))
+
+
+def check_bounds(p, n_samples: int = 20, seed: int = 0) -> list[HypothesisReport]:
+    """Worst ratio of each sampled integral inequality of the first term
+    (f, g) to its declared bound: pointwise M, history Lipschitz L, shift
+    Lipschitz L2 and delay Lipschitz L3."""
+    panel = max(0.01, p.sigma / 128.0)
+    rng = np.random.default_rng(seed)
+    depth = min(p.history_depth or 3.0, 3.0)
+    t_end = p.t0 + p.sigma
+    worst = dict.fromkeys(("pointwise (M)", "history-lipschitz (L)",
+                           "shift-lipschitz (L2)", "delay-lipschitz (L3)"), 0.0)
+
+    x_rand = initial_trajectory(p, build_mesh(p, p.sigma / 64.0))
+    x_rand.values += rng.normal(0.0, 0.3, x_rand.values.shape).cumsum(axis=0) \
+        * math.sqrt(1.0 / len(x_rand.mesh))
+    x_rand.post_jump_values = x_rand.values.copy()
+
+    def ratio(name, lhs, bound):
+        rhs = float(integrate(bound, p.g, u1, u2, panel)[0])
+        worst[name] = max(worst[name], _ratio(float(np.linalg.norm(lhs)), rhs))
+
+    def f_gap(h1, h2):
+        return lambda s: np.asarray(p.f(s, h1)) - np.asarray(p.f(s, h2))
+
+    for _ in range(n_samples):
+        u1, u2 = np.sort(rng.uniform(p.t0, t_end, 2))
+        if u2 - u1 < 1e-6:
+            u2 = min(t_end, u1 + 0.1)
+        psi = _random_history(rng, p.phi0.dim, depth)
+        chi = _random_history(rng, p.phi0.dim, depth)
+        ratio("pointwise (M)", integrate(lambda s: p.f(s, psi), p.g, u1, u2, panel),
+              p.bounds.M_fn)
+        gap = history_gap_norm(psi, chi, p.weight)
+        ratio("history-lipschitz (L)", integrate(f_gap(psi, chi), p.g, u1, u2, panel),
+              lambda s: p.bounds.L(s) * gap)
+        a, b = np.sort(rng.uniform(p.t0, t_end, 2))
+        xa = segment(x_rand, float(a), p.history_depth)
+        xb = segment(x_rand, float(b), p.history_depth)
+        ratio("shift-lipschitz (L2)", integrate(f_gap(xa, xb), p.g, u1, u2, panel),
+              lambda s: p.bounds.L2(s) * abs(a - b))
+        lag = integrate(lambda s: abs(p.rho_delay(s, psi) - p.rho_delay(s, chi)),
+                        p.g, u1, u2, panel)
+        ratio("delay-lipschitz (L3)", lag, lambda s: p.bounds.L3(s) * gap)
+
+    notes = {"shift-lipschitz (L2)": "sampled evidence only"}
+    return [HypothesisReport(name, w, w <= 1.0 + 1e-7, notes.get(name, ""))
+            for name, w in worst.items()]
 
 
 # -- extremum seeking ----------------------------------------------------------

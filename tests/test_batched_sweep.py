@@ -23,7 +23,7 @@ from measurefde.mfde import (ConvergenceError, HypothesisViolationError,
                              delayed_time_series, gamma_apply,
                              initial_trajectory, residual, solve_picard,
                              tanh_kernel_problem)
-from measurefde.phase_space import HistoryRangeError, RegulatedFn
+from measurefde.phase_space import HistoryRangeError, RegulatedFn, segment
 from measurefde.stieltjes import Integrator, _simpson_rule
 
 BOUNDS = ProblemBounds(lambda s: 2.0, lambda s: 1.0, lambda s: 1.0, lambda s: 0.5)
@@ -158,7 +158,7 @@ def test_tanh_batched_rows_equal_scalar_calls(jumps):
         assert abs(r[i] - p.rho_delay(si, row)) <= 1e-13
         assert abs(fx[i] - p.f(si, row)) <= 1e-13
         # the scalar forms also take a materialised history
-        hist = x.history_at(si, p.history_depth)
+        hist = segment(x, si, p.history_depth)
         assert abs(p.rho_delay(si, hist) - p.rho_delay(si, row)) <= 1e-11
         assert abs(p.f(si, hist) - p.f(si, row)) <= 1e-11
 

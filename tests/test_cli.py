@@ -41,6 +41,26 @@ def test_unknown_flag_is_usage_error():
     assert main(["es", "--bogus", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--mesh", "0"],
+    ["integrate", "--levels", "0"],
+    ["mfde", "--sigma", "0"],
+    ["mfde", "--tol", "0"],
+    ["mfde", "--jumps", "0.05:-1"],
+    ["mfde", "--step", "0"],
+    ["mfde", "--step", "-1"],
+    ["avg", "--L", "0"],
+    ["avg", "--eps0", "0"],
+    ["es", "--dt", "0", "--t-end", "1"],
+], ids=" ".join)
+def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ([] if argv[0] == "integrate" else ["--out", "x"])) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error") and not out
+    assert not list(tmp_path.iterdir())             # nothing written on exit 2
+
+
 def test_integrate_prints_value_and_ladder(capsys):
     code = main(["integrate", "--f", "t2", "--density", "zero",
                  "--jumps", "0.5:1", "--from", "0", "--to", "1"])

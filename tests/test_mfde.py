@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from _oracles import march_heun
+from _oracles import check_bounds, march_heun
 from measurefde.mfde import (ConvergenceError, HypothesisViolationError,
-                             MfdeProblem, ProblemBounds, check_bounds,
-                             delayed_time_series, gamma_apply,
-                             initial_trajectory, build_mesh, residual,
-                             solve_picard, tanh_kernel_problem)
-from measurefde.phase_space import RegulatedFn
+                             MfdeProblem, ProblemBounds, delayed_time_series,
+                             gamma_apply, initial_trajectory, build_mesh,
+                             residual, solve_picard, tanh_kernel_problem)
+from measurefde.phase_space import RegulatedFn, segment
 from measurefde.stieltjes import Integrator
 
 ZERO_BOUNDS = ProblemBounds(lambda s: 0.0, lambda s: 0.0,
@@ -232,9 +231,9 @@ def test_tanh_example_with_impulses():
     x, _, _ = solve_picard(p, step=0.01)
     i = int(np.argmin(np.abs(x.mesh - 0.5)))
     jump = float(x.post_jump_values[i][0] - x.values[i][0])
-    hist = x.history_at(0.5, p.history_depth)
+    hist = segment(x, 0.5, p.history_depth)
     r = p.rho_delay(0.5, hist)
-    expected = float(p.f(0.5, x.history_at(r, p.history_depth))) * 0.4
+    expected = float(p.f(0.5, segment(x, r, p.history_depth))) * 0.4
     assert jump == pytest.approx(expected, rel=1e-12)
     assert residual(x, p) <= 10.0 * p.tol
 

@@ -257,7 +257,9 @@ def test_norm_positive_definite():
 def test_norm_homogeneity(alpha, seed):
     rng = np.random.default_rng(seed)
     phi = _random_polyline(rng)
-    assert phase_norm(phi.scaled(alpha), EXP_WEIGHT) \
+    seg = phi.segments[0]
+    scaled = RegulatedFn.polyline(seg.thetas, alpha * seg.values, tail_value=0.0)
+    assert phase_norm(scaled, EXP_WEIGHT) \
         == pytest.approx(abs(alpha) * phase_norm(phi, EXP_WEIGHT), rel=1e-9, abs=1e-12)
 
 

@@ -38,6 +38,9 @@ def test_integrator_validation():
     for density in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             Integrator.with_jumps(density, [(0.5, 1.0)])
+    for panel in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            integrate(lambda s: 1.0, IDENTITY, 0.0, 1.0, panel=panel)
 
 
 DENSITIES = {"exp": np.exp, "square": lambda s: s * s,
