@@ -58,7 +58,7 @@ class AvgProblem:
     f_vectorized: bool = False
 
     def __post_init__(self):
-        if min(self.T, self.alpha, self.L, self.eps0) <= 0:
+        if not all(v > 0 for v in (self.T, self.alpha, self.L, self.eps0)):
             raise ValueError("T, alpha, L, eps0 must all be positive")
 
     def const(self, name: str) -> float:

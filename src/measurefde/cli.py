@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import averaging, esc, mfde, stieltjes
+from ._g17 import g17_rows
 from .stieltjes import Integrator
 
 # expressions usable for --f and --density (densities must be nonnegative)
@@ -219,26 +220,25 @@ def _summary_text(cfg: RunConfig, results: dict) -> str:
     return buf.getvalue()
 
 
-# Rows stacked and formatted per block.  At 2048 rows a block's Python
-# floats and text take about 1.5 MB, which keeps the writer below the peak
-# that the es loop's own buffers set.
-CSV_BLOCK_ROWS = 2048
+# Rows stacked and turned into text per block.  At 512 rows a block's
+# temporaries take about 1 MB, which keeps the writer below the peak that
+# the es run sets before it.
+CSV_BLOCK_ROWS = 512
 
 
 def _write_csv(path: str, header: str, columns) -> None:
     """Columns as CSV rows, every value %.17g so it round-trips exactly.
 
-    Rows are stacked and formatted CSV_BLOCK_ROWS at a time, so neither the
-    whole table nor its values as Python floats are ever held at once.
+    Rows are stacked and turned into text CSV_BLOCK_ROWS at a time, by a
+    numpy kernel that writes the bytes "%.17g" gives, so the whole table is
+    never held as text at once.
     """
     columns = [np.asarray(col) for col in columns]
-    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = np.column_stack([col[lo:lo + CSV_BLOCK_ROWS]
-                                     for col in columns])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(g17_rows(np.column_stack([col[lo:lo + CSV_BLOCK_ROWS]
+                                               for col in columns])))
 
 
 # -- subcommand runners --------------------------------------------------------
@@ -252,6 +252,8 @@ def _run_integrate(cfg: RunConfig) -> int:
                              f"choose from {sorted(EXPRESSIONS)}")
     f = EXPRESSIONS[prm["f"]]
     a, b = float(prm["from"]), float(prm["to"])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise UsageError("--from and --to must be finite")
     with _bad_arguments():
         g = Integrator(density=EXPRESSIONS[prm["density"]],
                        jumps=_parse_jumps(prm["jumps"]))

@@ -111,6 +111,8 @@ class EsParams:
             raise ValueError("probe amplitude must be nonzero")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and nonnegative")
         if self.omega * self.dt > 0.05:
             raise ValueError("omega * dt must stay at or below 0.05")
         probe = np.linspace(-20.0, 20.0, 801)
@@ -193,7 +195,9 @@ class SimState:
     per-run constants step() reads, bound once here so the loop neither
     recomputes them nor looks up EsParams attributes on every step.
     integrand, ctrap, cum_g and cum_h serve the loop only; simulate() drops
-    them before the trace is assembled.
+    them before the trace is assembled.  cum_g and cum_h are rings of
+    m_window + 1 running sums: entry i % (m_window + 1) holds the sum over
+    the first i samples, and the moving average reads only the last period.
     """
 
     __slots__ = ("k", "n", "n_steps", "t", "theta_hat", "U", "y_bar",
@@ -218,9 +222,9 @@ class SimState:
         for name in ("theta", "y", "G", "H_hat", "U_arr", "Gamma",
                      "phi", "margin", "integrand", "ctrap"):
             setattr(self, name, array("d", bytes(8 * n1)))
-        self.cum_g = array("d", bytes(8 * (n1 + 1)))
-        self.cum_h = array("d", bytes(8 * (n1 + 1)))
         self.m_window = _period_steps(p)
+        self.cum_g = array("d", bytes(8 * (self.m_window + 1)))
+        self.cum_h = array("d", bytes(8 * (self.m_window + 1)))
         self.aborted = False
         self.abort_reason = ""
 
@@ -277,13 +281,15 @@ def step(p: EsParams, state: SimState) -> SimState:
     g_raw = m_sig * y_w
     h_raw = n_sig * y_w
     cum_g, cum_h = state.cum_g, state.cum_h
-    cum_g[n + 1] = cum_g[n] + g_raw
-    cum_h[n + 1] = cum_h[n] + h_raw
+    m = state.m_window
+    now, new, old = n % (m + 1), (n + 1) % (m + 1), (n + 2) % (m + 1)
+    cum_g[new] = cum_g[now] + g_raw
+    cum_h[new] = cum_h[now] + h_raw
     if washout_on:
-        m = state.m_window
-        lo = n + 1 - m if n + 1 >= m else 0
-        g_est = (cum_g[n + 1] - cum_g[lo]) / m
-        h_est = (cum_h[n + 1] - cum_h[lo]) / m
+        # slot `old` holds the sum up to n + 1 - m, or is still 0.0 while
+        # fewer than m samples have been taken
+        g_est = (cum_g[new] - cum_g[old]) / m
+        h_est = (cum_h[new] - cum_h[old]) / m
     else:
         g_est, h_est = g_raw, h_raw
     state.G[n] = g_est
@@ -380,8 +386,14 @@ def _finalize(p: EsParams, state: SimState, n_have: int) -> EsTrace:
     def view(buf):
         return np.frombuffer(buf)[:n_have]
 
-    times = np.arange(n_have) * p.dt
+    # whole-trace columns are computed in place: no whole-trace temporaries
+    times = np.arange(n_have, dtype=float)
+    times *= p.dt
     theta, phi = view(state.theta), view(state.phi)
+    theta_hat = p.omega * times
+    np.sin(theta_hat, out=theta_hat)
+    theta_hat *= p.a
+    np.subtract(theta, theta_hat, out=theta_hat)
     flags: dict = {}
     if state.aborted:
         flags["diverged"] = state.abort_reason.startswith("divergence")
@@ -397,10 +409,10 @@ def _finalize(p: EsParams, state: SimState, n_have: int) -> EsTrace:
         flags["delay_rate_exceeded_fraction"] = frac
         flags["delay_rate_warning"] = bool(frac > 0.0)
     trace = EsTrace(params=p, times=times, theta=theta,
-                    theta_hat=theta - p.a * np.sin(p.omega * times),
+                    theta_hat=theta_hat,
                     y=view(state.y), G=view(state.G), H_hat=view(state.H_hat),
                     U=view(state.U_arr), Gamma=view(state.Gamma), phi_t=phi,
-                    sigma_t=np.full(n_have, np.nan),
+                    sigma_t=np.empty(0),        # set just below
                     feas_margin=view(state.margin), flags=flags)
     trace.sigma_t = prediction_times(p, trace)
     return trace

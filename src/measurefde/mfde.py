@@ -76,9 +76,10 @@ class MfdeProblem:
     batched: bool = False
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.tol <= 0 or self.max_iters <= 0:
+        # written as `not x > 0` so that nan fails too
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be finite and positive")
+        if not (self.tol > 0 and self.max_iters > 0):
             raise ValueError("tol and max_iters must be positive")
 
     @property

@@ -19,6 +19,10 @@ import numpy as np
 # a time this close to a trajectory's mesh node reads the node's stored
 # (left) value
 _MESH_HIT = 1e-12
+# A bound check passes within BOUND_SLACK of 1, and certifies a failing
+# candidate if at most MAX_DOUBLINGS doublings of it pass.
+BOUND_SLACK = 1e-9
+MAX_DOUBLINGS = 10
 
 
 class PhaseSpaceError(ValueError):
@@ -342,21 +346,20 @@ class BoundReport:
                 f"scale {self.certified_scale:g} ({flag})")
 
 
-def _certify(name: str, worst: float, max_doublings: int = 10,
-             slack: float = 1e-9) -> BoundReport:
-    passed = worst <= 1.0 + slack
+def _certify(name: str, worst: float) -> BoundReport:
+    passed = worst <= 1.0 + BOUND_SLACK
     doublings = 0
     scale = 1.0
     certified = passed
     if not passed and math.isfinite(worst):
         doublings = max(0, math.ceil(math.log2(worst)))
-        certified = doublings <= max_doublings
+        certified = doublings <= MAX_DOUBLINGS
         scale = 2.0 ** doublings
     return BoundReport(name, worst, scale, doublings, passed, certified)
 
 
 def check_memory_bounds(traj, consts: BoundCandidates, weight: Weight,
-                        n_grid: int = 24, max_doublings: int = 10) -> list[BoundReport]:
+                        n_grid: int = 24) -> list[BoundReport]:
     """Check the pointwise and history-norm growth inequalities on a trajectory.
 
     Inequality (b): |y(t)| <= k1(t - t0) * ||y_t||; inequality (c):
@@ -381,16 +384,16 @@ def check_memory_bounds(traj, consts: BoundCandidates, weight: Weight,
         worst_b = max(worst_b, _ratio(yt, rhs_b))
         rhs_c = consts.k2(dt) * norm0 + consts.k3(dt) * running_sup
         worst_c = max(worst_c, _ratio(nt, rhs_c))
-    return [_certify("pointwise-vs-norm (k1)", worst_b, max_doublings),
-            _certify("norm-growth (k2,k3)", worst_c, max_doublings)]
+    return [_certify("pointwise-vs-norm (k1)", worst_b),
+            _certify("norm-growth (k2,k3)", worst_c)]
 
 
 def check_shift_bound(phi: RegulatedFn, t: float, k: Callable[[float], float],
-                      weight: Weight, max_doublings: int = 10) -> BoundReport:
+                      weight: Weight) -> BoundReport:
     """Check ||S(t) phi|| <= (1 + k(t)) ||phi|| for one history and shift."""
     lhs = phase_norm(shift(phi, t), weight)
     rhs = (1.0 + k(t)) * phase_norm(phi, weight)
-    return _certify(f"shift-bound t={t:g}", _ratio(lhs, rhs), max_doublings)
+    return _certify(f"shift-bound t={t:g}", _ratio(lhs, rhs))
 
 
 def _sup_on(traj, a: float, b: float) -> float:

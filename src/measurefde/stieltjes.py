@@ -19,6 +19,8 @@ import numpy as np
 
 PANEL = 1.0 / 512.0        # max width of one Simpson panel
 CHUNK_PANELS = 2 ** 16     # panels per block of a long gap: memory stays flat
+GRONWALL_GRID = 129        # check_gronwall's uniform grid points on [a, b]
+GRONWALL_SLACK = 1e-8      # relative slack of both of its inequalities
 
 
 class IntegratorDomainError(ValueError):
@@ -250,8 +252,7 @@ class GronwallReport:
 
 
 def check_gronwall(psi: Callable[[float], float], k: float, l: float,
-                   g: Integrator, a: float, b: float,
-                   n_grid: int = 129, slack: float = 1e-8) -> GronwallReport:
+                   g: Integrator, a: float, b: float) -> GronwallReport:
     """Grid verification of the Gronwall implication for psi against g.
 
     At every grid point xi the hypothesis psi(xi) <= k + l * int_a^xi psi dg
@@ -259,7 +260,7 @@ def check_gronwall(psi: Callable[[float], float], k: float, l: float,
     A hypothesis failure downgrades the report instead of failing it: the
     implication is vacuous there.
     """
-    grid = np.union1d(np.linspace(a, b, n_grid),
+    grid = np.union1d(np.linspace(a, b, GRONWALL_GRID),
                       [t for t, _ in g.jumps if a < t < b])
     psi_vals = np.array([float(psi(float(x))) for x in grid])
     if np.any(psi_vals < 0):
@@ -271,9 +272,9 @@ def check_gronwall(psi: Callable[[float], float], k: float, l: float,
         cum[i] = cum[i - 1] + float(piece[0])
     hyp_rhs = k + l * cum
     bound = k * np.exp(l * (gv - gv[0]))
-    tol = slack * (1.0 + np.abs(hyp_rhs))
+    tol = GRONWALL_SLACK * (1.0 + np.abs(hyp_rhs))
     hyp_ok = psi_vals <= hyp_rhs + tol
-    bound_ok = psi_vals <= bound + slack * (1.0 + np.abs(bound))
+    bound_ok = psi_vals <= bound + GRONWALL_SLACK * (1.0 + np.abs(bound))
     if not bool(np.all(hyp_ok)):
         status = "hypothesis-not-satisfied"
     elif not bool(np.all(bound_ok)):

@@ -88,4 +88,4 @@ def test_es_run_memory_per_trace_row(tmp_path):
     peak_20 = _es_peak_bytes(20.0, str(tmp_path / "a"))
     peak_60 = _es_peak_bytes(60.0, str(tmp_path / "b"))
     per_row = (peak_60 - peak_20) / (8 * (30001 - 10001))
-    assert per_row <= 14.0
+    assert per_row <= 12.0

@@ -52,6 +52,10 @@ def test_unknown_flag_is_usage_error():
     ["avg", "--L", "0"],
     ["avg", "--eps0", "0"],
     ["es", "--dt", "0", "--t-end", "1"],
+    ["integrate", "--to", "nan"],
+    ["mfde", "--sigma", "nan"],
+    ["avg", "--L", "nan"],
+    ["es", "--t-end", "nan"],
 ], ids=" ".join)
 def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
