@@ -347,12 +347,14 @@ def _es_params(cfg: RunConfig) -> esc.EsParams:
         delay_fn, delay_grad = esc.sin5sq_delay, esc.sin5sq_delay_grad
     elif delay_id.startswith("const:"):
         d0 = float(delay_id.split(":", 1)[1])
-        if d0 < 0:
-            raise UsageError("constant delay must be nonnegative")
+        if not 0 <= d0 < math.inf:
+            raise UsageError("constant delay must be finite and nonnegative")
         delay_fn = esc.constant_delay(d0)
         delay_grad = esc.constant_delay(0.0)
     else:
         raise UsageError(f"unknown delay {delay_id!r}")
+    if not math.isfinite(float(prm["tail_start"])):
+        raise UsageError("--tail-start must be finite")
     key_map = {"k": "k_gain", "c": "c", "a": "a", "omega": "omega",
                "theta_star": "theta_star", "y_star": "y_star",
                "hessian": "hessian", "theta_hat0": "theta_hat0", "dt": "dt",

@@ -105,6 +105,10 @@ class EsParams:
     divergence_cap: float = 1e6
 
     def __post_init__(self):
+        for name in ("k_gain", "c", "a", "omega", "theta_star", "y_star",
+                     "hessian", "theta_hat0", "washout", "u0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.hessian >= 0:
             raise ValueError("hessian must be negative (maximum seeking)")
         if self.a == 0:

@@ -256,6 +256,12 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
     mesh falls below tol; windows are sized so the contraction certificate
     K * (summed g_k-variation) stays below one half whenever the
     whole-horizon estimate is not already below one.
+
+    With the default "constant" guess, each window after the first starts
+    from the solved right limit at its base node, extended linearly with the
+    slope of the cell before it (from that cell's right limit, so an impulse
+    does not enter the slope): on the tanh example two sweeps per window.
+    The "ramp" guess stays a ramp on every window and gets no warm start.
     """
     if step is None:
         step = p.sigma / 2000.0
@@ -266,10 +272,16 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
     windows = _partition_windows(contraction_rate(p), gvals)
 
     x = initial_trajectory(p, mesh, initial_guess)
+    warm = initial_guess == "constant"
     total_iters = 0
     final_delta = 0.0
     for (i0, i1) in windows:
         base = np.atleast_1d(p.phi0.value_at_zero()) if i0 == 0 else x.values[i0].copy()
+        if warm and i0 > 0:
+            slope = (x.values[i0] - x.post_jump_values[i0 - 1]) / (mesh[i0] - mesh[i0 - 1])
+            guess = x.post_jump_values[i0] + (mesh[i0 + 1:i1 + 1] - mesh[i0])[:, None] * slope
+            x.values[i0 + 1:i1 + 1] = guess
+            x.post_jump_values[i0 + 1:i1 + 1] = guess
         delta = math.inf
         for _ in range(p.max_iters):
             total_iters += 1
@@ -361,6 +373,9 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
     an array of times with a batched one.
     """
     (nodes,), (kw,) = _lag_rules(np.array([0.0]), KERNEL_H)  # kernel weights
+    # the last batch's times with its shifted lag nodes and weights: a Picard
+    # window calls rho on the same times every sweep.  Never written in place.
+    last = [np.empty(0), None, None]
 
     def f(t, psi):
         if np.ndim(t) == 0:
@@ -373,12 +388,15 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
                 return float(t)
             (r_nodes,), (r_kw,) = _lag_rules(np.array([float(t)]), KERNEL_H)
             return float(t - np.dot(r_kw, np.tanh(np.abs(psi(r_nodes - t)))))
-        r_nodes, r_kw = _lag_rules(t, KERNEL_H)
-        r_nodes -= t[:, None]
+        if not np.array_equal(t, last[0]):
+            r_nodes, r_kw = _lag_rules(t, KERNEL_H)
+            r_nodes -= t[:, None]
+            last[:] = t.copy(), r_nodes, r_kw
+        _, r_nodes, r_kw = last
         vals = psi(r_nodes)
-        r_kw *= np.tanh(np.abs(vals, out=vals), out=vals)
+        vals = r_kw * np.tanh(np.abs(vals, out=vals), out=vals)
         # rows at or past the cutoff have zero weights: their lag is 0
-        return t - r_kw.sum(axis=1)
+        return t - vals.sum(axis=1)
 
     c_bar = float(np.dot(kw, np.exp(nodes)))   # int |T| e^theta
     depth = KERNEL_CUTOFF + sigma + 1.0

@@ -177,3 +177,25 @@ def test_residual_memory_stays_flat_over_a_long_mesh():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_tanh_lag_rule_cache_is_exact_and_unaliased():
+    # the batched lag keeps the last batch's Simpson rules: repeated,
+    # changed and returning times must all give a fresh problem's bits
+    p = tanh_kernel_problem(sigma=2.0)
+    x = initial_trajectory(p, build_mesh(p, 0.05))
+    x.values += np.cumsum(np.random.default_rng(7).normal(0.0, 0.05, x.values.shape), axis=0)
+    x.post_jump_values = x.values.copy()
+
+    def lag(q, t):
+        return q.rho_delay(t, _HistoryView(x, t, q.history_depth))
+
+    a, b = np.linspace(0.0, 0.4, 17), np.linspace(0.4, 0.9, 19)
+    for t in (a, a, b, a):
+        r = lag(p, t)
+        assert np.array_equal(r, lag(tanh_kernel_problem(sigma=2.0), t.copy()))
+        r[:] = np.nan                      # the caller owns what it gets back
+    t = np.linspace(1.0, 1.3, 13)
+    lag(p, t)
+    t += 0.05                              # times written in place are new times
+    assert np.array_equal(lag(p, t), lag(tanh_kernel_problem(sigma=2.0), t.copy()))

@@ -56,6 +56,17 @@ def test_unknown_flag_is_usage_error():
     ["mfde", "--sigma", "nan"],
     ["avg", "--L", "nan"],
     ["es", "--t-end", "nan"],
+    ["es", "--k", "nan", "--t-end", "1"],
+    ["es", "--c", "inf", "--t-end", "1"],
+    ["es", "--a", "nan", "--t-end", "1"],
+    ["es", "--omega", "nan", "--t-end", "1"],
+    ["es", "--theta-star", "nan", "--t-end", "1"],
+    ["es", "--y-star", "nan", "--t-end", "1"],
+    ["es", "--hessian", "nan", "--t-end", "1"],
+    ["es", "--theta-hat0", "nan", "--t-end", "1"],
+    ["es", "--washout", "nan", "--t-end", "1"],
+    ["es", "--tail-start", "nan", "--t-end", "1"],
+    ["es", "--delay", "const:nan", "--t-end", "1"],
 ], ids=" ".join)
 def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -43,6 +43,15 @@ def test_params_reject_coarse_step():
         quick_params(dt=0.05)
 
 
+@pytest.mark.parametrize("name", ["k_gain", "c", "a", "omega", "theta_star",
+                                  "y_star", "hessian", "theta_hat0", "washout",
+                                  "u0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        quick_params(**{name: value})
+
+
 def test_params_reject_negative_delay():
     with pytest.raises(ValueError):
         quick_params(delay_fn=lambda th: -0.1 * np.ones_like(np.asarray(th)))

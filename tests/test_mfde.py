@@ -310,3 +310,41 @@ def test_window_partition_covers_and_caps():
     for i0, i1 in windows:
         assert K * (gvals[i1] - gvals[i0]) <= 0.45 + 1e-12 or i1 == i0 + 1
     assert _partition_windows(0.1, gvals) == [(0, 200)]
+
+
+def _windows(p, step):
+    from measurefde.mfde import _mesh_caches, _partition_windows, contraction_rate
+    mesh = build_mesh(p, step)
+    windows = _partition_windows(contraction_rate(p), p.g.values_at(mesh, mesh[0]))
+    return windows, _mesh_caches(p, mesh)[1]
+
+
+def test_warm_start_takes_two_sweeps_per_window(tanh_run):
+    # each window after the first starts from the solved right limit at its
+    # base node, extended linearly: one sweep to converge, one to confirm.
+    # The ramp guess is never warm-started, so it keeps its 297 sweeps.
+    p = tanh_run["problem"]
+    windows, _ = _windows(p, 2e-3)
+    assert len(windows) == 112
+    assert tanh_run["iters"] == 2 * len(windows) == 224
+    _, iters, _ = solve_picard(p, step=2e-3, initial_guess="ramp")
+    assert iters == 297
+
+
+def test_warm_start_across_impulses():
+    # the seed-0 train of 19 impulses that `--jumps` takes in the benchmark
+    from measurefde.cli import _parse_jumps
+    rng = np.random.default_rng(0)
+    times = 0.1 * np.arange(1, 20) + rng.uniform(-0.02, 0.02, 19)
+    sizes = rng.uniform(0.02, 0.06, 19)
+    p = tanh_kernel_problem(sigma=2.0, jumps=_parse_jumps(
+        ",".join(f"{t:.6f}:{m:.6f}" for t, m in zip(times, sizes))))
+    windows, any_jump = _windows(p, 2e-3)
+    # every impulse opens a window, whose guess starts from the post-jump
+    # value, and the window after it takes its slope from that right limit
+    assert sum(bool(any_jump[i0]) for i0, _ in windows[1:]) == 19
+    xw, iters_w, _ = solve_picard(p, step=2e-3)
+    xr, iters_r, _ = solve_picard(p, step=2e-3, initial_guess="ramp")
+    assert (iters_w, iters_r) == (276, 356)
+    assert xw.sup_distance(xr) <= 10.0 * p.tol
+    assert residual(xw, p) < 1e-8
