@@ -443,7 +443,8 @@ def compare(p: AvgProblem, eps_list: Sequence[float],
               for eps, err in zip(eps_list, measured)]
     fit_pts = [(eps, err) for eps, err in zip(eps_list, measured)
                if not math.isnan(err) and err > 1e-12]
-    if len(fit_pts) >= 2:
+    # a line through fewer than two distinct eps is not determined
+    if len({eps for eps, _ in fit_pts}) >= 2:
         le = np.log([e for e, _ in fit_pts])
         lv = np.log([v for _, v in fit_pts])
         slope = float(np.polyfit(le, lv, 1)[0])

@@ -95,6 +95,8 @@ def _parse_eps(text: str) -> list[float]:
         raise UsageError(f"bad eps list {text!r}") from exc
     if not vals:
         raise UsageError("empty eps list")
+    if len(set(vals)) < len(vals):
+        raise UsageError(f"duplicate eps values in {text!r}")
     return vals
 
 
@@ -283,8 +285,8 @@ def _run_mfde(cfg: RunConfig) -> int:
                                            tol=float(prm["tol"]),
                                            jumps=_parse_jumps(str(prm["jumps"])))
         step = float(prm["step"])
-        if not step > 0:
-            raise ValueError("step must be positive")
+        if not 0 < step < math.inf:
+            raise ValueError("step must be finite and positive")
     traj, iters, delta = mfde.solve_picard(problem, step=step)
     defect = mfde.residual(traj, problem)
     _write_csv(f"{cfg.out}_trajectory.csv", "t,value_0,post_jump_value_0",

@@ -23,8 +23,10 @@ from .phase_space import segment  # unused here: perfbench/tracer.py:177 patches
 from .stieltjes import Integrator, _sample
 from .trajectory import Trajectory, _HistoryView
 
-# mesh cells per batched evaluation of rho_delay and f: memory stays flat
-BATCH_CELLS = 16
+# history points read per batched evaluation of rho_delay and f, which sizes
+# each batch so that memory stays flat: 2**14 holds the tanh example's 33
+# rows of 481 kernel points, and 8,191 cells of a one-point-per-row problem
+BATCH_READS = 2 ** 14
 
 
 class HypothesisViolationError(ValueError):
@@ -79,8 +81,12 @@ class MfdeProblem:
         # written as `not x > 0` so that nan fails too
         if not 0 < self.sigma < math.inf:
             raise ValueError("sigma must be finite and positive")
-        if not (self.tol > 0 and self.max_iters > 0):
-            raise ValueError("tol and max_iters must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
+        if not self.max_iters > 0:
+            raise ValueError("max_iters must be positive")
+        if not math.isfinite(self.t0):
+            raise ValueError("t0 must be finite")
 
     @property
     def terms(self) -> tuple:
@@ -90,8 +96,8 @@ class MfdeProblem:
 def build_mesh(p: MfdeProblem, step: float) -> np.ndarray:
     """Uniform base mesh plus jump times of every g_k plus shifted history
     breakpoints."""
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be finite and positive")
     t_end = p.t0 + p.sigma
     n = max(2, int(math.ceil(p.sigma / step)))
     pts = set(np.linspace(p.t0, t_end, n + 1).tolist())
@@ -136,10 +142,13 @@ def _delays(p: MfdeProblem, x: Trajectory, s: np.ndarray,
     return _rows(p.rho_delay, p.batched, s, view)[:, 0], view
 
 
-def _batch_rhs(p: MfdeProblem, x: Trajectory, s: np.ndarray, post=None) -> list:
+def _batch_rhs(p: MfdeProblem, x: Trajectory, s: np.ndarray,
+               post=None) -> tuple[list, int]:
     """Every f_k at the times s on the histories at their delayed times, one
-    row per time; a row with a post index starts from the right limit."""
+    row per time, and the most history points rho_delay or an f_k read for
+    one row; a row with a post index starts from the right limit."""
     r, view = _delays(p, x, s, post)
+    delay_reads = view.reads
     late = r > s + 1e-9
     if late.any():
         i = int(late.argmax())
@@ -152,7 +161,23 @@ def _batch_rhs(p: MfdeProblem, x: Trajectory, s: np.ndarray, post=None) -> list:
             post = post.copy()
             post[~same] = -1
         view = _HistoryView(x, r, p.history_depth, post)
-    return [_rows(f, p.batched, s, view) for f, _ in p.terms]
+    rows = [_rows(f, p.batched, s, view) for f, _ in p.terms]
+    return rows, max(delay_reads[0], view.reads[0])
+
+
+def _in_batches(n: int, run: Callable[[int, int], int]):
+    """Call run(a, b) on consecutive cell ranges [a, b) that cover n cells,
+    once on (0, 0) when n is 0.  The first range has 16 cells; each later
+    one has as many cells as keep its 2 (b - a) + 1 rows within BATCH_READS
+    history points, at the reads per row that run returned for the range
+    before it."""
+    a, cells = 0, 16
+    while True:
+        b = min(a + cells, n)
+        reads = run(a, b)
+        if b >= n:
+            return
+        a, cells = b, max(1, (BATCH_READS // max(reads, 1) - 1) // 2)
 
 
 def _sweep(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
@@ -161,11 +186,12 @@ def _sweep(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
 
     Returns (values, post_jump_values) for that index range.  Every history
     is read from the iterate x, so the right-hand sides of a sweep do not
-    depend on each other: they are evaluated BATCH_CELLS cells at a time, at
-    the nodes and midpoints and, on cells that open with a jump, at the
-    node's right limit.  Simpson on each mesh cell for the density part of
-    every term, whose integrand starts from the post-jump history; a jump at
-    the left endpoint of a cell belongs to that cell and uses the left value.
+    depend on each other: they are evaluated in batches of cells, sized by
+    _in_batches to the history points read per row, at the nodes and
+    midpoints and, on cells that open with a jump, at the node's right
+    limit.  Simpson on each mesh cell for the density part of every term,
+    whose integrand starts from the post-jump history; a jump at the left
+    endpoint of a cell belongs to that cell and uses the left value.
     """
     mesh, n, dim = x.mesh, i1 - i0, x.dim
     half = np.empty(2 * n + 1)  # nodes and midpoints in time order
@@ -178,8 +204,8 @@ def _sweep(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
     vals = np.empty((n + 1, dim))
     post = np.empty_like(vals)
     vals[0] = base_val
-    for a in range(0, max(n, 1), BATCH_CELLS):
-        b = min(a + BATCH_CELLS, n)
+
+    def run(a: int, b: int) -> int:
         m = 2 * (b - a) + 1
         s, right = half[2 * a:2 * b + 1], None
         jc = np.nonzero(jumps[a:b])[0]  # cells that open with a jump
@@ -188,7 +214,8 @@ def _sweep(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
             right = np.concatenate([np.full(m, -1), i0 + a + jc])
         inc = np.zeros((b - a, dim))
         atoms = np.zeros((b - a + 1, dim))
-        for (dn, dm, jump_at), fs in zip(cols, _batch_rhs(p, x, s, right)):
+        rows, reads = _batch_rhs(p, x, s, right)
+        for (dn, dm, jump_at), fs in zip(cols, rows):
             fn, fp = fs[0:m:2], fs[0:m - 1:2]
             if len(jc):
                 fp = fp.copy()
@@ -199,6 +226,9 @@ def _sweep(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
         vals[a:b + 1] = np.cumsum(np.concatenate([vals[a:a + 1], inc + atoms[:-1]]),
                                   axis=0)
         post[a:b + 1] = vals[a:b + 1] + atoms
+        return reads
+
+    _in_batches(n, run)
     return vals, post
 
 
@@ -302,10 +332,17 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
 
 
 def delayed_time_series(p: MfdeProblem, x: Trajectory) -> np.ndarray:
-    """rho_delay along x at every mesh node, in sweep-sized batches."""
-    size = 2 * BATCH_CELLS + 1
-    return np.concatenate([_delays(p, x, x.mesh[i:i + size])[0]
-                           for i in range(0, len(x.mesh), size)])
+    """rho_delay along x at every mesh node, in sweep-sized batches: two
+    nodes per cell of _in_batches."""
+    out = []
+
+    def run(a: int, b: int) -> int:
+        r, view = _delays(p, x, x.mesh[2 * a:2 * b])
+        out.append(r)
+        return view.reads[0]
+
+    _in_batches((len(x.mesh) + 1) // 2, run)
+    return np.concatenate(out)
 
 
 def _assert_monotone_delay(p: MfdeProblem, x: Trajectory):

@@ -51,10 +51,13 @@ class Integrator:
             object.__setattr__(self, "density", c)
         jumps = tuple((float(t), float(m)) for t, m in self.jumps)
         times = [t for t, _ in jumps]
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError("jump times must be finite")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("jump times must be strictly increasing")
-        if any(m <= 0 for _, m in jumps):
-            raise ValueError("jump magnitudes must be strictly positive")
+        # 0 < m < inf is false for nan as well
+        if not all(0 < m < math.inf for _, m in jumps):
+            raise ValueError("jump magnitudes must be finite and strictly positive")
         times = np.array(times, dtype=float)
         # cum[k]: the first k magnitudes, less those below 0 so that g(0) = 0
         cum = np.concatenate(([0.0], np.cumsum([m for _, m in jumps])))

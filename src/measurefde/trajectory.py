@@ -84,10 +84,12 @@ class _HistoryView:
     every read returns one row per time, and a theta array of shape (n, m)
     gives row i its own m points.  A post index j >= 0 reads the right limit
     post_jump_values[j] at theta = 0.  Valid only while x is not written:
-    f and rho_delay get it for the length of a call.
+    f and rho_delay get it for the length of a call.  reads[0] is the most
+    points a batch read made for one of its rows, shared with the views made
+    from it; a row repeated k times counts k times.
     """
 
-    __slots__ = ("x", "t", "lo", "dim", "post", "rep")
+    __slots__ = ("x", "t", "lo", "dim", "post", "rep", "reads")
 
     def __init__(self, x: Trajectory, t, depth: float | None, post=None):
         end = float(x.mesh[-1])
@@ -101,10 +103,11 @@ class _HistoryView:
             t = min(t, end) if isinstance(t, float) else np.minimum(t, end)
         self.x, self.dim, self.t, self.post, self.rep = x, x.dim, t, post, 1
         self.lo = -math.inf if depth is None else -depth
+        self.reads = [0]
 
     def _like(self, t, post, rep: int = 1) -> "_HistoryView":
         view = object.__new__(_HistoryView)
-        view.x, view.dim, view.lo = self.x, self.dim, self.lo
+        view.x, view.dim, view.lo, view.reads = self.x, self.dim, self.lo, self.reads
         view.t, view.post, view.rep = t, post, rep
         return view
 
@@ -145,6 +148,7 @@ class _HistoryView:
             th += tau
         else:
             th = tau + th
+        self.reads[0] = max(self.reads[0], th.size * rep // len(self.t))
         out = x.value_at(th.ravel()).reshape(th.shape + (self.dim,))
         if post is not None:
             out[right] = x.post_jump_values[j[right]]

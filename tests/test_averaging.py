@@ -214,6 +214,16 @@ def test_compare_degenerate_constant_case():
     assert rep.all_passed
 
 
+def test_compare_repeated_eps_fits_no_slope():
+    # the same eps twice is one point of the eps-order fit, which a line
+    # does not determine: nan, and no rank-deficient polyfit (whose
+    # RankWarning this suite turns into an error)
+    rep = compare(linear_periodic_problem(L=0.5), [0.1, 0.1])
+    assert rep.measured_errors[0] == rep.measured_errors[1] > 1e-12
+    assert math.isnan(rep.slope)
+    assert rep.all_passed
+
+
 def test_compare_two_eps_order_one():
     p = linear_periodic_problem(L=0.5)
     rep = compare(p, [0.2, 0.1])

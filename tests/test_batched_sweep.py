@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measurefde import averaging, cli, mfde
 from measurefde.mfde import (ConvergenceError, HypothesisViolationError,
                              MfdeProblem,
                              ProblemBounds, Trajectory, _HistoryView,
@@ -23,7 +24,8 @@ from measurefde.mfde import (ConvergenceError, HypothesisViolationError,
                              delayed_time_series, gamma_apply,
                              initial_trajectory, residual, solve_picard,
                              tanh_kernel_problem)
-from measurefde.phase_space import HistoryRangeError, RegulatedFn, segment
+from measurefde.phase_space import (UNIFORM_WEIGHT, HistoryRangeError,
+                                    RegulatedFn, segment)
 from measurefde.stieltjes import Integrator, _simpson_rule
 
 BOUNDS = ProblemBounds(lambda s: 2.0, lambda s: 1.0, lambda s: 1.0, lambda s: 0.5)
@@ -165,8 +167,8 @@ def test_tanh_batched_rows_equal_scalar_calls(jumps):
 
 def test_residual_memory_stays_flat_over_a_long_mesh():
     # 10,001 nodes: a whole-mesh batch of the tanh right-hand side reads
-    # 20,001 rows x 481 kernel nodes, 77 MB per array; batches of
-    # BATCH_CELLS cells keep the peak near the trajectory's own size
+    # 20,001 rows x 481 kernel nodes, 77 MB per array; batches sized to
+    # BATCH_READS history points keep the peak near the trajectory's own size
     p = tanh_kernel_problem(sigma=20.0)
     x = initial_trajectory(p, build_mesh(p, 2e-3))
     assert len(x.mesh) == 10001
@@ -199,3 +201,99 @@ def test_tanh_lag_rule_cache_is_exact_and_unaliased():
     lag(p, t)
     t += 0.05                              # times written in place are new times
     assert np.array_equal(lag(p, t), lag(tanh_kernel_problem(sigma=2.0), t.copy()))
+
+
+def test_batch_reads_budget_does_not_change_results(monkeypatch):
+    # every row is computed on its own and the cumulative sum carries on
+    # from the last node of the batch before, so where batches split moves
+    # no bit: 2**6 reads gives one-cell tanh batches, 2**20 whole windows
+    rng = np.random.default_rng(0)
+    times = 0.1 * np.arange(1, 20) + rng.uniform(-0.02, 0.02, 19)
+    sizes = rng.uniform(0.02, 0.06, 19)
+    train = cli._parse_jumps(",".join(f"{t:.6f}:{m:.6f}" for t, m in zip(times, sizes)))
+    avg = averaging.linear_periodic_problem(L=1.0)
+    per_row = replace(random_problem(np.random.default_rng(7), 1, 2, True, None),
+                      batched=False)
+    solves = {
+        "original": lambda: averaging.solve_original(avg, 0.1),
+        "averaged": lambda: averaging.solve_averaged(avg, 0.1),
+        "tanh_impulses": lambda: solve_picard(tanh_kernel_problem(jumps=train), 2e-3)[0],
+        "per_row": lambda: solve_picard(per_row, 0.01)[0],
+    }
+    results = []
+    for reads in (2**6, 2**14, 2**20):
+        monkeypatch.setattr(mfde, "BATCH_READS", reads)
+        results.append({k: solve() for k, solve in solves.items()})
+    for other in results[1:]:
+        for k, x in results[0].items():
+            assert np.array_equal(x.values, other[k].values), k
+            assert np.array_equal(x.post_jump_values, other[k].post_jump_values), k
+
+
+def test_view_counts_reads_per_row_with_repeats():
+    phi0 = RegulatedFn.constant(1.0, window_start=-1.0)
+    mesh = np.linspace(0.0, 1.0, 5)
+    x = Trajectory(mesh, np.ones((5, 1)), np.ones((5, 1)), phi0, 0.0)
+    view = _HistoryView(x, np.array([0.25, 0.5, 1.0]), None)
+    view(0.0)
+    assert view.reads[0] == 1
+    view(np.linspace(-0.5, 0.0, 4))           # points shared by every row
+    assert view.reads[0] == 4
+    view(0.0)                                 # the most for one row is kept
+    assert view.reads[0] == 4
+    rep = view.repeat(7)
+    assert rep.reads is view.reads            # made from the batch: one count
+    rep(0.0)
+    assert view.reads[0] == 7
+    rep(np.zeros((21, 2)))                    # each repeated row its own points
+    assert view.reads[0] == 14
+    rep.repeat(3)(np.array([-0.1, 0.0]))
+    assert view.reads[0] == 42
+    view.row(1)(np.linspace(-0.5, 0.0, 100))  # a single history is no batch
+    assert view.reads[0] == 42
+
+
+def test_one_point_rows_in_one_long_window_keep_memory_flat():
+    # x' = -x/50 reads psi(0) once per row: batches of 8,191 cells, so a
+    # window of 40,000 cells is six of them.  One whole-window batch
+    # (80,001 rows) peaks at 10.7 MB, the capped batches at 5.6 MB.
+    c = 0.02
+    p = MfdeProblem(f=lambda s, psi: -c * psi(0.0), rho_delay=lambda s, psi: s,
+                    g=Integrator.identity(),
+                    phi0=RegulatedFn.constant(1.0, window_start=-1.0),
+                    t0=0.0, sigma=40.0, bounds=ProblemBounds(*(lambda s: c,) * 3,
+                                                             lambda s: 0.0),
+                    weight=UNIFORM_WEIGHT, history_depth=1.0, batched=True)
+    tracemalloc.start()
+    try:
+        x, _, _ = solve_picard(p, step=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(x.mesh) == 40001
+    assert mfde._partition_windows(mfde.contraction_rate(p), x.mesh) == [(0, 40000)]
+    assert abs(x.values[-1, 0] - math.exp(-0.8)) <= 1e-9
+    assert peak < 7 * 2**20
+
+
+def test_averaging_sweep_batches_are_few(monkeypatch, tmp_path):
+    # the benchmark's 4-eps averaging run made 2,391 batched calls of f
+    # with 16-cell batches; one-point rows of the original system now fill
+    # a window after its opening batch, and the averaged rule's 129 repeated
+    # rows per time allow 63 cells
+    calls = [0]
+    make = averaging.linear_periodic_problem
+
+    def counted(*args, **kwargs):
+        p = make(*args, **kwargs)
+
+        def f(s, psi):
+            calls[0] += np.ndim(s) > 0
+            return p.f(s, psi)
+        return replace(p, f=f)
+
+    monkeypatch.setattr(averaging, "linear_periodic_problem", counted)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["avg", "--case", "linear", "--eps", "0.2,0.1,0.05,0.025",
+                     "--L", "1", "--out", "run"]) == 0
+    assert calls[0] <= 700

@@ -67,6 +67,14 @@ def test_unknown_flag_is_usage_error():
     ["es", "--washout", "nan", "--t-end", "1"],
     ["es", "--tail-start", "nan", "--t-end", "1"],
     ["es", "--delay", "const:nan", "--t-end", "1"],
+    ["mfde", "--tol", "inf"],
+    ["mfde", "--t0", "nan"],
+    ["mfde", "--t0", "inf"],
+    ["mfde", "--step", "inf"],
+    ["mfde", "--jumps", "nan:0.1", "--sigma", "1"],
+    ["mfde", "--jumps", "0.5:nan", "--sigma", "1"],
+    ["mfde", "--jumps", "0.5:inf", "--sigma", "1"],
+    ["avg", "--eps", "0.1,0.1"],
 ], ids=" ".join)
 def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

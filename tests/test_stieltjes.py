@@ -35,6 +35,14 @@ def test_integrator_validation():
         Integrator.pure_jumps([(0.5, 1.0), (0.5, 1.0)])
     with pytest.raises(ValueError):
         Integrator.pure_jumps([(1.0, 1.0), (0.5, 1.0)])
+    # a nan time would pass the ordering check and then be dropped by the
+    # searches; a nan or infinite magnitude is no jump size
+    for jump in ((math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1),
+                 (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(ValueError):
+            Integrator.with_jumps(1.0, [jump])
+        with pytest.raises(ValueError):
+            Integrator.pure_jumps([(0.2, 1.0), jump])
     for density in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             Integrator.with_jumps(density, [(0.5, 1.0)])
