@@ -7,7 +7,7 @@ an extremum-seeking simulator with predictor feedback."""
 from .stieltjes import (Integrator, GronwallReport, check_gronwall, integrate,
                         refine_ladder)
 from .phase_space import (EXP_WEIGHT, UNIFORM_WEIGHT, BoundCandidates,
-                          RegulatedFn, Segment, Weight, check_memory_bounds,
+                          RegulatedFn, Weight, check_memory_bounds,
                           check_shift_bound, exp_weight_candidates, phase_norm,
                           segment, shift)
 from .mfde import (MfdeProblem, ProblemBounds, Trajectory, gamma_apply,
@@ -22,7 +22,7 @@ from .esc import (EsParams, EsTrace, PdeDiag, lyapunov_diagnostic, simulate,
 __all__ = [
     "Integrator", "GronwallReport", "check_gronwall", "integrate",
     "refine_ladder",
-    "EXP_WEIGHT", "UNIFORM_WEIGHT", "BoundCandidates", "RegulatedFn", "Segment",
+    "EXP_WEIGHT", "UNIFORM_WEIGHT", "BoundCandidates", "RegulatedFn",
     "Weight", "check_memory_bounds", "check_shift_bound",
     "exp_weight_candidates", "phase_norm",
     "segment", "shift",

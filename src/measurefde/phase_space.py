@@ -1,23 +1,22 @@
-"""Finite representations of regulated history functions on (-inf, 0].
+"""Regulated history functions on (-inf, 0], stored on node arrays.
 
-A history carries a finite active window [window_start, 0] made of polyline
-segments with explicit lateral limits at the breakpoints, plus a constant
-tail value for theta <= window_start.  The weighted sup norm, the
-freeze-and-translate shift operator and history extraction from trajectories
-all operate on this representation.
+A history is stored like a Trajectory: ascending nodes ending at theta = 0,
+the value (left limit) and the right limit at each node, and a constant tail
+value for theta <= the first node.  One reading rule (_read) serves both.
+The weighted sup norm, the freeze-and-translate shift operator and history
+extraction from trajectories all operate on this representation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 
-# a time this close to a trajectory's mesh node reads the node's stored
-# (left) value
+# a time this close to a node reads the node's stored (left) value
 _MESH_HIT = 1e-12
 # A bound check passes within BOUND_SLACK of 1, and certifies a failing
 # candidate if at most MAX_DOUBLINGS doublings of it pass.
@@ -37,90 +36,98 @@ class HistoryRangeError(PhaseSpaceError):
     """Requested time lies outside the representable range."""
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One polyline piece; first/last samples are the lateral limits."""
+def _hits(node, x):
+    """Whether a read at x lands on the node (floats or arrays)."""
+    return abs(node - x) <= _MESH_HIT
 
-    thetas: np.ndarray
-    values: np.ndarray  # shape (len(thetas), dim)
 
-    def __post_init__(self):
-        t = np.asarray(self.thetas, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if len(t) < 2 or v.shape[0] != len(t):
-            raise ValueError("segment needs matching thetas/values with >= 2 samples")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("segment thetas must be strictly increasing")
-        object.__setattr__(self, "thetas", t)
-        object.__setattr__(self, "values", v)
+def _lerp(nodes, left, right, j, x):
+    """The line from right[j - 1] to left[j] at x (floats or arrays)."""
+    lam = (x - nodes[j - 1]) / (nodes[j] - nodes[j - 1])
+    return right[j - 1] + lam[..., None] * (left[j] - right[j - 1])
+
+
+def _read(nodes, left, right, x):
+    """The one reading rule of node arrays at x above nodes[0], a float or
+    a 1-d array: a node hit reads the node's left value (the right
+    neighbour wins a double hit), and on (nodes[i], nodes[i+1]] the line
+    from right[i] to left[i+1].  Never returns memory shared with left or
+    right."""
+    if isinstance(x, float):  # one point: no index or mask arrays
+        j = min(int(nodes.searchsorted(x)), len(nodes) - 1)
+        for node in (j, j - 1):
+            if _hits(nodes[node], x):
+                return left[node].copy()
+        return _lerp(nodes, left, right, j, x)
+    j = np.minimum(nodes.searchsorted(x), len(nodes) - 1)
+    out = _lerp(nodes, left, right, j, x)
+    for node in (j - 1, j):
+        hit = _hits(nodes[node], x)
+        if hit.any():
+            out[hit] = left[node[hit]]
+    return out
 
 
 class RegulatedFn:
     """Regulated function on (-inf, 0] with a finite active window.
 
-    Value conventions: at an interior breakpoint the value is the left
-    limit (the left segment's last sample) unless an explicit point value
-    overrides it; at theta <= window_start the value is the constant tail;
-    the value at 0 is always defined.
+    phi is the tail value on theta <= thetas[0], left[i] at the node
+    thetas[i], and on (thetas[i], thetas[i+1]] the line from right[i] to
+    left[i+1], as _read reads it; left[0] is never read.  The one exception
+    is theta = 0 itself, which reads right[-1]: it differs from the left
+    limit phi(0-) = left[-1] only after a jump at 0.
     """
 
-    __slots__ = ("segments", "tail_value", "dim", "_bounds", "point_values")
+    __slots__ = ("thetas", "left", "right", "tail_value", "dim", "_smooth",
+                 "_at_zero")
 
-    def __init__(self, segments: Sequence[Segment], tail_value,
-                 point_values: Sequence[tuple[float, np.ndarray]] = ()):
-        if not segments:
-            raise ValueError("need at least one segment")
-        segs = tuple(segments)
-        for left, right in zip(segs, segs[1:]):
-            if abs(left.thetas[-1] - right.thetas[0]) > 1e-12:
-                raise ValueError("segments must be contiguous")
-        if abs(segs[-1].thetas[-1]) > 1e-12:
-            raise ValueError("last segment must end at theta = 0")
-        if segs[0].thetas[0] > 0:
-            raise ValueError("window start must be nonpositive")
-        self.segments = segs
-        self.dim = segs[0].values.shape[1]
+    def __init__(self, thetas, left, right, tail_value):
+        t = np.asarray(thetas, dtype=float)
+        left = np.asarray(left, dtype=float).reshape(len(t), -1)
+        right = np.asarray(right, dtype=float).reshape(left.shape)
+        if len(t) < 2 or t[-1] != 0.0 or np.any(np.diff(t) <= 0):
+            raise ValueError("need >= 2 strictly increasing thetas ending at 0")
         tail = np.atleast_1d(np.asarray(tail_value, dtype=float))
-        if tail.shape != (self.dim,):
+        if tail.shape != (left.shape[1],):
             raise ValueError("tail dimension mismatch")
-        self.tail_value = tail
-        self._bounds = np.array([s.thetas[0] for s in segs] + [0.0])
-        self.point_values = tuple((float(t), np.atleast_1d(np.asarray(v, float)))
-                                  for t, v in point_values)
+        self.thetas, self.left, self.right, self.tail_value = t, left, right, tail
+        self.dim = left.shape[1]
+        # jump-free: np.interp over (thetas, left) reads it
+        self._smooth = np.array_equal(left[:-1], right[:-1])
+        self._at_zero = None if np.array_equal(left[-1], right[-1]) else right[-1]
 
     # -- basic geometry ---------------------------------------------------
 
     @property
     def window_start(self) -> float:
-        return float(self._bounds[0])
+        return float(self.thetas[0])
 
     @property
     def breakpoints(self) -> np.ndarray:
-        return self._bounds.copy()
+        """The window start, the nodes where phi jumps, and 0."""
+        return np.array([th[0] for th, _ in self.segments] + [0.0])
+
+    @property
+    def segments(self) -> tuple:
+        """The jump-free pieces as (thetas, values), split at the inner
+        jumps; each opens at its first node's right limit."""
+        jumps = (self.left[1:-1] != self.right[1:-1]).any(axis=1)
+        cuts = [0, *(1 + np.flatnonzero(jumps)).tolist(), len(self.thetas) - 1]
+        return tuple((self.thetas[a:b + 1], np.vstack([self.right[a], self.left[a + 1:b + 1]]))
+                     for a, b in zip(cuts, cuts[1:]))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def constant(cls, value, window_start: float = -1.0, tail_value=None) -> "RegulatedFn":
         v = np.atleast_1d(np.asarray(value, dtype=float))
-        if window_start >= 0:
-            raise ValueError("window_start must be negative")
-        tail = v if tail_value is None else tail_value
-        seg = Segment(np.array([window_start, 0.0]), np.stack([v, v]))
-        return cls([seg], tail)
+        return cls.polyline([window_start, 0.0], [v, v], tail_value)
 
     @classmethod
     def polyline(cls, thetas, values, tail_value=None) -> "RegulatedFn":
-        """Single continuous segment from samples ending at theta = 0."""
-        t = np.asarray(thetas, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        seg = Segment(t, v)
-        tail = v[0] if tail_value is None else tail_value
-        return cls([seg], tail)
+        """Continuous polyline through samples ending at theta = 0."""
+        v = np.asarray(values, dtype=float).reshape(len(thetas), -1)
+        return cls(thetas, v, v, v[0] if tail_value is None else tail_value)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -129,53 +136,25 @@ class RegulatedFn:
         th = np.asarray(theta, dtype=float)
         scalar = th.ndim == 0
         th = np.atleast_1d(th)
-        tail_mask = th <= self._bounds[0]
-        if len(self.segments) == 1:  # one np.interp per dimension
-            seg = self.segments[0]
-            cols = [np.interp(th, seg.thetas, seg.values[:, d]) for d in range(self.dim)]
+        if self._smooth:  # one np.interp per dimension
+            cols = [np.interp(th, self.thetas, self.left[:, d]) for d in range(self.dim)]
             out = cols[0][:, None] if self.dim == 1 else np.stack(cols, axis=1)
         else:
-            out = np.empty((len(th), self.dim))
-            if not tail_mask.all():
-                active = ~tail_mask
-                ta = th[active]
-                idx = np.searchsorted(self._bounds, ta, side="left")
-                idx = np.clip(idx - 1, 0, len(self.segments) - 1)
-                vals = np.empty((len(ta), self.dim))
-                for si in np.unique(idx):
-                    seg = self.segments[si]
-                    m = idx == si
-                    for d in range(self.dim):
-                        vals[m, d] = np.interp(ta[m], seg.thetas, seg.values[:, d])
-                out[active] = vals
-        out[tail_mask] = self.tail_value
-        for t_pv, v_pv in self.point_values:
-            hit = th == t_pv
-            if np.any(hit):
-                out[hit] = v_pv
+            out = _read(self.thetas, self.left, self.right, np.minimum(th, 0.0))
+        out[th <= self.thetas[0]] = self.tail_value
+        if self._at_zero is not None:
+            out[th == 0.0] = self._at_zero
         return out[0] if scalar else out
 
     def __call__(self, theta):
         """Scalar-friendly evaluation: floats in/out for one-dimensional data."""
         res = self.eval(theta)
         if self.dim == 1:
-            res = np.asarray(res)
-            return float(res[..., 0]) if res.ndim == 1 else res[..., 0]
+            return float(res[0]) if res.ndim == 1 else res[..., 0]
         return res
 
     def value_at_zero(self) -> np.ndarray:
         return self.eval(0.0)
-
-    def left_limit(self, theta: float) -> np.ndarray:
-        if theta <= self._bounds[0]:
-            return self.tail_value.copy()
-        i = int(np.searchsorted(self._bounds, theta, side="left"))
-        if i > 0 and abs(self._bounds[i] - theta) < 1e-15 and i - 1 < len(self.segments):
-            return self.segments[i - 1].values[-1].copy()
-        return np.atleast_1d(self.eval(theta))
-
-    def sample_points(self) -> np.ndarray:
-        return np.concatenate([s.thetas for s in self.segments])
 
 
 @dataclass(frozen=True)
@@ -209,7 +188,7 @@ UNIFORM_WEIGHT = Weight("constant_one")
 
 def phase_norm(phi: RegulatedFn, weight: Weight = EXP_WEIGHT) -> float:
     """Weighted sup norm over the window, exact at the samples and refined
-    between them on 64 points per segment.
+    between them on 64 points per jump-free piece.
 
     For the exponential weight the tail must be zero (otherwise the sup over
     theta -> -inf diverges); the flat weight includes the tail value.
@@ -218,16 +197,12 @@ def phase_norm(phi: RegulatedFn, weight: Weight = EXP_WEIGHT) -> float:
     if weight.kind == "exp_pos" and tail_norm > 0.0:
         raise InfiniteNormError("exp weight requires a zero tail value")
     best = tail_norm if weight.kind == "constant_one" else 0.0
-    for seg in phi.segments:
-        pts = np.union1d(seg.thetas, np.linspace(seg.thetas[0], seg.thetas[-1], 64))
-        vals = np.empty((len(pts), phi.dim))
-        for d in range(phi.dim):
-            vals[:, d] = np.interp(pts, seg.thetas, seg.values[:, d])
+    for thetas, values in phi.segments:
+        pts = np.union1d(thetas, np.linspace(thetas[0], thetas[-1], 64))
+        vals = np.stack([np.interp(pts, thetas, col) for col in values.T], axis=1)
         ratios = np.linalg.norm(vals, axis=1) / weight.rho(pts)
         best = max(best, float(np.max(ratios)))
-    for t_pv, v_pv in phi.point_values:
-        best = max(best, float(np.linalg.norm(v_pv)) / float(weight.rho(t_pv)))
-    return best
+    return max(best, float(np.linalg.norm(phi.right[-1])))  # phi(0); rho(0) = 1
 
 
 def shift(phi: RegulatedFn, t: float) -> RegulatedFn:
@@ -240,72 +215,66 @@ def shift(phi: RegulatedFn, t: float) -> RegulatedFn:
         raise ValueError("shift requires t >= 0")
     if t < 1e-12:  # below representable window resolution
         return phi
-    segs = [Segment(s.thetas - t, s.values.copy()) for s in phi.segments]
-    frozen = phi.left_limit(0.0)
-    segs.append(Segment(np.array([-t, 0.0]), np.stack([frozen, frozen])))
-    pv = [(pt - t, v) for pt, v in phi.point_values if pt < 0.0]
-    at_zero = phi.value_at_zero()
-    if not np.array_equal(at_zero, frozen):
-        pv.append((0.0, at_zero))
-    return RegulatedFn(segs, phi.tail_value, pv)
+    frozen = phi.left[-1:]
+    return RegulatedFn(np.append(phi.thetas - t, 0.0), np.vstack([phi.left, frozen]),
+                       np.vstack([phi.right[:-1], frozen, phi.right[-1:]]),
+                       phi.tail_value)
+
+
+def _check_range(traj, t_lo: float, t_hi: float) -> None:
+    """Raise HistoryRangeError unless trajectory traj holds x on [t_lo, t_hi]."""
+    end = float(traj.mesh[-1])
+    if t_hi > end + 1e-9:
+        raise HistoryRangeError(f"time {t_hi} beyond computed range {end}")
+    if t_lo < traj.t0 + traj.initial_history.window_start - 1e-12:
+        raise HistoryRangeError(
+            f"time {t_lo} below the initial history window at {traj.t0}")
 
 
 def segment(traj, t: float, max_depth: float | None = None) -> RegulatedFn:
     """History x_t of a trajectory, theta -> x(t + theta), valued by the
     rule of traj.value_at (duck-typed trajectory).
 
-    The pieces are phi0's segments shifted by t0 - t, then the trajectory's
-    cells up to t, split at jump rows: the stored (left) value ends a piece
-    and the post-jump value opens the next.  A jump exactly at t belongs to
-    the future.  max_depth clips the window to [-max_depth, 0] and freezes
-    x(t - max_depth) as the tail, for solvers that declare a finite memory
-    depth.
+    Its nodes are phi0's, shifted by t0 - t, and then the mesh nodes below
+    t, with their values; the node at t0 keeps phi0's value and opens the
+    mesh's first cell.  The last node is theta = 0 with the value x(t): a
+    node that t hits is left out, so a jump exactly at t belongs to the
+    future.  max_depth cuts the window at -max_depth, with a node there on
+    the line of its cell, and freezes x(t - max_depth) as the tail, for
+    solvers that declare a finite memory depth.
     """
     t0, phi0, mesh = traj.t0, traj.initial_history, traj.mesh
-    if t > mesh[-1] + 1e-9:
-        raise HistoryRangeError(f"time {t} beyond computed range {mesh[-1]}")
-    if t < t0 + phi0.window_start - 1e-12:
-        raise HistoryRangeError(f"time {t} below the initial history window at {t0}")
+    _check_range(traj, t, t)
     depth = math.inf if max_depth is None else max_depth
-    if abs(t - t0) <= _MESH_HIT:
+    if _hits(t, t0):
         if -depth <= phi0.window_start:
             return phi0
         t = t0
     t = min(t, float(mesh[-1]))
-    reach = t0 + phi0.window_start - t
+    reach = phi0.window_start + (t0 - t)  # phi0's first node, as placed below
     lo = max(-depth, reach)
-    end = traj.value_at(t)
-    pieces = [(s.thetas + (t0 - t), s.values) for s in phi0.segments]
-    # trajectory nodes from the one at or below t + lo to the last below t
-    # (a mesh hit at t is left out); before t0 there are none
-    i = max(int(mesh.searchsorted(t + lo, side="right")) - 1, 0)
-    k = int(mesh.searchsorted(t - _MESH_HIT))
-    th = np.append(mesh[i:k] - t, 0.0)
-    left = np.vstack([traj.values[i:k], end])
-    right = np.vstack([traj.post_jump_values[i:k], end])
-    jumps = 1 + np.flatnonzero((left[1:-1] != right[1:-1]).any(axis=1))
-    cuts = [0, *jumps.tolist(), len(th) - 1]
-    pieces += [(th[a:b + 1], np.vstack([right[a], left[a + 1:b + 1]]))
-               for a, b in zip(cuts, cuts[1:])]
-    segs = [Segment(*c) for c in (_clip(th, v, lo) for th, v in pieces) if c]
     tail = phi0.tail_value if lo == reach else traj.value_at(t + lo)
-    if not segs:  # t at phi0's window start: only the tail is left
-        segs = [Segment(np.array([-1.0, 0.0]), np.stack([tail, tail]))]
-    pv = [(pt + t0 - t, v) for pt, v in phi0.point_values
-          if lo < pt + t0 - t < 0.0]
-    if not np.array_equal(segs[-1].values[-1], end):
-        pv.append((0.0, end))
-    return RegulatedFn(segs, tail, pv)
-
-
-def _clip(thetas: np.ndarray, values: np.ndarray, lo: float):
-    """A piece restricted to [lo, 0], interpolated inside the piece at a
-    cut end; None when no part of positive length is left."""
-    a, b = max(thetas[0], lo), min(thetas[-1], 0.0)
-    if a >= b:
-        return None
-    th = np.concatenate([[a], thetas[(thetas > a) & (thetas < b)], [b]])
-    return th, np.stack([np.interp(th, thetas, col) for col in values.T], axis=1)
+    if lo >= 0.0:  # t at phi0's window start: only the tail is left
+        return RegulatedFn.constant(tail)
+    k = int(mesh.searchsorted(t))
+    j = int(mesh.searchsorted(t + lo, side="right")) - 1
+    if j > 0:  # the cut lies past t0: the mesh nodes from the one below it
+        th, left, right = mesh[j:k] - t, traj.values[j:k], traj.post_jump_values[j:k]
+    else:
+        th = np.concatenate([phi0.thetas + (t0 - t), mesh[1:k] - t])
+        left = np.vstack([phi0.left, traj.values[1:k]])
+        right = np.vstack([phi0.right[:-1], traj.post_jump_values[:max(k, 1)]])
+    n = int(th.searchsorted(0.0))
+    n -= n > 1 and _hits(th[n - 1], 0.0)
+    end = traj.value_at(t)
+    # x(t-) is x(t) but at t0, where phi0 may jump at 0
+    end_left = phi0.left[-1] if t == t0 else end
+    th = np.append(th[:n], 0.0)
+    left, right = np.vstack([left[:n], end_left]), np.vstack([right[:n], end])
+    i = max(int(th.searchsorted(lo, side="right")) - 1, 0)  # lo in [th[i], th[i+1])
+    left[i] = right[i] = _lerp(th, left, right, i + 1, lo)
+    th[i] = lo
+    return RegulatedFn(th[i:], left[i:], right[i:], tail)
 
 
 # -- numeric checks of the phase-space bounding constants -------------------

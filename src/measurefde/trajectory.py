@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import _MESH_HIT, HistoryRangeError, RegulatedFn
+from .phase_space import RegulatedFn, _check_range, _read
 
 
 @dataclass
@@ -36,38 +36,26 @@ class Trajectory:
         return self.values.shape[1]
 
     def value_at(self, t) -> np.ndarray:
-        """x at absolute times t: phi0(t - t0) at or below t0, the stored
-        left value within _MESH_HIT of a mesh node, and on (t_i, t_{i+1}]
-        the line from the post-jump value at t_i to the stored value at
-        t_{i+1}.  Never returns memory shared with the value arrays."""
-        mesh, post = self.mesh, self.post_jump_values
-        if isinstance(t, float):  # one point: no index or mask arrays
-            if t <= self.t0:
-                return self.initial_history.eval(t - self.t0)
-            j = min(int(mesh.searchsorted(t)), len(mesh) - 1)
-            for node in (j, j - 1):
-                if abs(mesh[node] - t) <= _MESH_HIT:
-                    return self.values[node].copy()
-            lam = (t - mesh[j - 1]) / (mesh[j] - mesh[j - 1])
-            return post[j - 1] + lam * (self.values[j] - post[j - 1])
+        """x at absolute times t: phi0(t - t0) at or below t0, and above it
+        the mesh read by the one rule of phase_space._read: the stored
+        (left) value at a node hit, and on (t_i, t_{i+1}] the line from the
+        post-jump value at t_i to the stored value at t_{i+1}.  Never
+        returns memory shared with the value arrays."""
+        phi0, t0 = self.initial_history, self.t0
+        if isinstance(t, float):
+            if t <= t0:
+                return phi0.eval(t - t0)
+            return _read(self.mesh, self.values, self.post_jump_values, t)
         ts = np.asarray(t, dtype=float)
         flat = np.atleast_1d(ts)
-        past = flat <= self.t0
+        past = flat <= t0
         if past.all():  # tanh's lag reads mostly inside phi0: no mesh work
-            out = self.initial_history.eval(flat - self.t0)
+            out = phi0.eval(flat - t0)
         else:
             out = np.empty((len(flat), self.dim))
             if past.any():
-                out[past] = self.initial_history.eval(flat[past] - self.t0)
-            tl = flat[~past]
-            j = np.minimum(mesh.searchsorted(tl), len(mesh) - 1)
-            lam = (tl - mesh[j - 1]) / (mesh[j] - mesh[j - 1])
-            live = post[j - 1] + lam[:, None] * (self.values[j] - post[j - 1])
-            for node in (j - 1, j):  # the right neighbour wins a double hit
-                hit = np.abs(mesh[node] - tl) <= _MESH_HIT
-                if hit.any():
-                    live[hit] = self.values[node[hit]]
-            out[~past] = live
+                out[past] = phi0.eval(flat[past] - t0)
+            out[~past] = _read(self.mesh, self.values, self.post_jump_values, flat[~past])
         return out[0] if ts.ndim == 0 else out
 
     def sup_distance(self, other: "Trajectory") -> float:
@@ -94,11 +82,7 @@ class _HistoryView:
     def __init__(self, x: Trajectory, t, depth: float | None, post=None):
         end = float(x.mesh[-1])
         t_hi, t_lo = (t, t) if isinstance(t, float) else (float(t.max()), float(t.min()))
-        if t_hi > end + 1e-9:
-            raise HistoryRangeError(f"time {t_hi} beyond computed range {end}")
-        if t_lo < x.t0 + x.initial_history.window_start - 1e-12:
-            raise HistoryRangeError(
-                f"time {t_lo} below the initial history window at {x.t0}")
+        _check_range(x, t_lo, t_hi)
         if t_hi > end:
             t = min(t, end) if isinstance(t, float) else np.minimum(t, end)
         self.x, self.dim, self.t, self.post, self.rep = x, x.dim, t, post, 1
@@ -154,8 +138,4 @@ class _HistoryView:
             out[right] = x.post_jump_values[j[right]]
         return out if rep == 1 else np.repeat(out, rep, axis=0)
 
-    def __call__(self, theta):
-        res = self.eval(theta)
-        if self.dim == 1:
-            return float(res[0]) if res.ndim == 1 else res[..., 0]
-        return res
+    __call__ = RegulatedFn.__call__

@@ -250,6 +250,16 @@ def test_compare_records_failures(p):
     assert not rep.all_passed
 
 
+def test_compare_propagates_programming_errors():
+    # only the solver's typed failures become failure rows
+    def f(s, psi):
+        raise TypeError("not a solver failure")
+
+    p = replace(linear_periodic_problem(L=0.5), f=f, f_vectorized=False)
+    with pytest.raises(TypeError, match="not a solver failure"):
+        compare(p, [0.2], check=False)
+
+
 def test_horizon_monotonicity():
     eps = 0.2
     e_short = sup_difference(

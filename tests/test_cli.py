@@ -163,6 +163,17 @@ def test_es_feasibility_maps_to_exit_one(tmp_path, monkeypatch, capsys):
     assert "feasibility" in Path("fail_summary.txt").read_text()
 
 
+def test_avg_case_config_path_is_usage_error(tmp_path, monkeypatch, capsys):
+    # a case read from another file would leave the summary describing a
+    # different run; --config is the way to load values from a file
+    monkeypatch.chdir(tmp_path)
+    Path("c.ini").write_text("[avg]\ncase = sine\nL = 0.5\n")
+    code = main(["avg", "--case", "config:c.ini", "--out", "x"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error")
+    assert not list(tmp_path.glob("x_*"))           # nothing written on exit 2
+
+
 def test_unknown_config_key_rejected(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("bad.cfg").write_text("[avg]\nnonsense = 1\n")

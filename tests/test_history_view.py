@@ -56,7 +56,7 @@ def test_view_matches_segment(seed, dim, n_jumps, depth, below_t0):
     if depth == "t0":  # the cut lands exactly on t0
         depth = t - x.t0 if t > x.t0 else None
     elif depth == "node":  # ... or exactly on a node of phi0 or of the mesh
-        nodes = np.concatenate([x.t0 + x.initial_history.sample_points(), x.mesh])
+        nodes = np.concatenate([x.t0 + x.initial_history.thetas, x.mesh])
         depth = t - float(rng.choice(nodes[nodes < t]))
     thetas = np.concatenate([rng.uniform(-(t - x.t0) + ws - 1.0, 0.5, 200),
                              x.mesh - t, [0.0]])
@@ -103,7 +103,7 @@ def test_segment_does_not_alias_trajectory_storage():
     x = random_trajectory(rng, 2, 2)
     for depth in (None, 0.3):
         hist = segment(x, float(x.mesh[5]) + 0.01, depth)
-        for arr in [hist.tail_value] + [s.values for s in hist.segments]:
+        for arr in (hist.tail_value, hist.left, hist.right):
             assert not np.shares_memory(arr, x.values)
             assert not np.shares_memory(arr, x.post_jump_values)
 

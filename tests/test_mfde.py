@@ -348,3 +348,64 @@ def test_warm_start_across_impulses():
     assert (iters_w, iters_r) == (276, 356)
     assert xw.sup_distance(xr) <= 10.0 * p.tol
     assert residual(xw, p) < 1e-8
+
+
+def test_build_mesh_pins_jump_nodes_and_stays_small():
+    # jumps on a grid node (0.5) and within 1e-12 above one (0.3), and a
+    # jump of phi0 at theta = -0.25 that adds the node 0.25
+    from measurefde.mfde import _mesh_caches
+    g = Integrator.with_jumps(1.0, [(0.3 + 4e-13, 0.2), (0.5, 0.1)])
+    phi = RegulatedFn([-1.0, -0.25, 0.0], [1.0, 1.0, 2.0], [1.0, 2.0, 2.0], 1.0)
+    p = MfdeProblem(f=lambda t, psi: 0.0, rho_delay=lambda t, psi: t, g=g,
+                    phi0=phi, t0=0.0, sigma=1.0, bounds=ZERO_BOUNDS)
+    mesh = build_mesh(p, 0.1)
+    grid = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(mesh, np.insert(grid, 3, 0.25))
+    # each jump lands on the node it is read at
+    assert mesh[np.flatnonzero(_mesh_caches(p, mesh)[1])].tolist() == [grid[3], 0.5]
+    # the peak stays within 4x the returned mesh (12x with a set of floats)
+    import tracemalloc
+    p = replace(p, sigma=4.0)
+    tracemalloc.start()
+    try:
+        mesh = build_mesh(p, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mesh) == 40_001 and peak <= 4 * mesh.nbytes
+
+
+def test_difference_equation_matches_direct_recursion():
+    # with a pure-jump g the measure equation is the difference equation
+    # x(tau_k+) = x(tau_k) + f(tau_k, x_rho(tau_k)), and x is constant between
+    # the jumps; this also reads histories at and next to jump nodes
+    taus = [0.5 * k for k in range(1, 9)]
+
+    def f(s, psi):
+        return -0.4 * psi(0.0) + 0.25 * psi(-1.0)
+
+    def rho(s, psi):
+        return s - (0.3 + 0.2 * math.tanh(psi(0.0)) ** 2)
+
+    p = MfdeProblem(f=f, rho_delay=rho,
+                    g=Integrator.pure_jumps([(tau, 1.0) for tau in taus]),
+                    phi0=RegulatedFn.constant(1.0, window_start=-2.0), t0=0.0,
+                    sigma=4.25, tol=1e-13,
+                    bounds=ProblemBounds(lambda s: 1.0, lambda s: 0.65,
+                                         lambda s: 0.65, lambda s: 0.16))
+    x, _, _ = solve_picard(p, step=2e-3)
+    posts = [1.0]  # x on (tau_k, tau_k+1], from (-inf, tau_1] on
+
+    def x_at(r):
+        return posts[np.searchsorted(taus, r)]
+
+    for tau in taus:
+        now = x_at(tau)
+        r = tau - (0.3 + 0.2 * math.tanh(now) ** 2)
+        posts.append(now - 0.4 * x_at(r) + 0.25 * x_at(r - 1.0))
+    rows = np.searchsorted(x.mesh, taus)
+    assert np.array_equal(x.mesh[rows], taus)
+    err = max(np.max(np.abs(x.values[:, 0] - [x_at(t) for t in x.mesh])),
+              np.max(np.abs(x.post_jump_values[rows, 0] - posts[1:])))
+    # 0.0 measured; the bound allows four ulps of |x| <= 1
+    assert err <= 4 * np.spacing(1.0)

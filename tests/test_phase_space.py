@@ -9,7 +9,7 @@ from measurefde.mfde import (MfdeProblem, ProblemBounds, Trajectory,
                              _HistoryView)
 from measurefde.phase_space import (EXP_WEIGHT, UNIFORM_WEIGHT,
                                     HistoryRangeError, InfiniteNormError,
-                                    RegulatedFn, Segment, check_memory_bounds,
+                                    RegulatedFn, check_memory_bounds,
                                     check_shift_bound, exp_weight_candidates,
                                     phase_norm, segment, shift)
 
@@ -73,11 +73,10 @@ def test_shift_branches():
 
 
 def test_shift_frozen_value_is_left_limit():
-    # discontinuous at 0: stored value differs from the left limit
-    seg_th = np.array([-1.0, 0.0])
-    phi = RegulatedFn([type(_linear_history().segments[0])(seg_th,
-                                                           np.array([[2.0], [2.0]]))],
-                      tail_value=np.zeros(1), point_values=[(0.0, np.array([5.0]))])
+    # discontinuous at 0: the value phi(0) = right[-1] differs from the left
+    # limit phi(0-) = left[-1]
+    phi = RegulatedFn([-1.0, 0.0], [2.0, 2.0], [2.0, 5.0], tail_value=0.0)
+    assert phi(0.0) == 5.0 and phi(-1e-9) == 2.0
     sh = shift(phi, 0.5)
     assert sh(0.0) == pytest.approx(5.0)
     assert sh(-0.25) == pytest.approx(2.0)
@@ -208,6 +207,15 @@ def test_segment_depth_cut_on_t0_freezes_x_at_t0():
     assert hist(-0.5) == pytest.approx(1.5, abs=1e-15)
 
 
+def test_segment_depth_cut_at_t0_keeps_a_jump_of_phi0_at_zero():
+    # phi0(0) = 5 differs from phi0(0-) = 2; the cut history at t0 keeps both
+    phi0 = RegulatedFn([-1.0, 0.0], [2.0, 2.0], [2.0, 5.0], tail_value=0.0)
+    traj = make_traj([0.0, 1.0], [5.0, 5.0], phi0)
+    hist = segment(traj, 0.0, 0.5)
+    assert hist.window_start == -0.5
+    assert hist(0.0) == 5.0 and hist(-0.25) == 2.0 and hist(-1.0) == 2.0
+
+
 def test_segment_beyond_range_errors():
     phi0 = RegulatedFn.constant(0.0, window_start=-1.0, tail_value=0.0)
     traj = make_traj([0.0, 1.0], [0.0, 1.0], phi0)
@@ -217,20 +225,24 @@ def test_segment_beyond_range_errors():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_single_segment_eval_matches_general_path(dim):
+    # the jump-free fast path (np.interp) and the general rule of _read
+    # read the same function
     rng = np.random.default_rng(dim)
     th = np.concatenate([[-2.0], np.sort(rng.uniform(-2.0, 0.0, 9)), [0.0]])
     vals = rng.normal(0.0, 1.0, (len(th), dim))
     tail = rng.normal(0.0, 1.0, dim) + 3.0
     one = RegulatedFn.polyline(th, vals, tail_value=tail)
-    k = 5     # the same data as two contiguous segments meeting at th[k]
-    two = RegulatedFn([Segment(th[:k + 1], vals[:k + 1]),
-                       Segment(th[k:], vals[k:])], tail)
-    assert len(one.segments) == 1 and len(two.segments) == 2
-    pts = np.concatenate([[-2.0, 0.0, -3.0, -2.0 - 1e-12, 0.5], th,
-                          rng.uniform(-2.5, 0.0, 40)])
-    assert np.array_equal(one.eval(pts), two.eval(pts))
-    for p in pts:
+    left = vals.copy()
+    left[0] += 7.0  # never read: the tail holds there, and forces the general path
+    two = RegulatedFn(th, left, vals, tail)
+    assert len(one.segments) == len(two.segments) == 1
+    exact = np.concatenate([[-2.0, 0.0, -3.0, -2.0 - 1e-12, 0.5], th])
+    assert np.array_equal(one.eval(exact), two.eval(exact))
+    for p in exact:
         assert np.array_equal(one.eval(p), two.eval(p))
+    inside = rng.uniform(-2.5, 0.0, 40)
+    # the two line formulas may differ in the last bits
+    assert np.allclose(one.eval(inside), two.eval(inside), rtol=0.0, atol=1e-14)
     assert np.array_equal(one.eval(-3.0), tail)
 
 
@@ -257,8 +269,7 @@ def test_norm_positive_definite():
 def test_norm_homogeneity(alpha, seed):
     rng = np.random.default_rng(seed)
     phi = _random_polyline(rng)
-    seg = phi.segments[0]
-    scaled = RegulatedFn.polyline(seg.thetas, alpha * seg.values, tail_value=0.0)
+    scaled = RegulatedFn.polyline(phi.thetas, alpha * phi.left, tail_value=0.0)
     assert phase_norm(scaled, EXP_WEIGHT) \
         == pytest.approx(abs(alpha) * phase_norm(phi, EXP_WEIGHT), rel=1e-9, abs=1e-12)
 

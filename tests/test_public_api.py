@@ -4,7 +4,7 @@ import measurefde
 PUBLIC = [
     "AvgProblem", "AvgReport", "BoundCandidates", "EXP_WEIGHT", "EsParams",
     "EsTrace", "GronwallReport", "Integrator", "MfdeProblem", "PdeDiag",
-    "ProblemBounds", "RegulatedFn", "Segment", "Trajectory", "UNIFORM_WEIGHT",
+    "ProblemBounds", "RegulatedFn", "Trajectory", "UNIFORM_WEIGHT",
     "Weight", "check_gronwall", "check_memory_bounds", "check_shift_bound",
     "compare", "error_constant", "exp_weight_candidates", "gamma_apply",
     "integrate", "linear_periodic_problem", "lyapunov_diagnostic",
