@@ -87,11 +87,13 @@ def _random_history(rng: np.random.Generator, dim: int, depth: float) -> Regulat
 
 
 def _random_extension(p: AvgProblem, rng: np.random.Generator, n: int) -> Trajectory:
-    """A random regulated extension of phi0 over [0, 2T]: n nodes, and
-    Gaussian steps of standard deviation 0.5 / sqrt(n) from phi0(0)."""
+    """A random regulated extension of phi0 over [0, 2T]: n nodes, the
+    first at phi0(0), and n - 1 Gaussian steps of standard deviation
+    0.5 / sqrt(n) from it."""
     mesh = np.linspace(0.0, 2.0 * p.T, n)
-    vals = np.atleast_1d(p.phi0.value_at_zero()) \
-        + rng.normal(0.0, 0.5, (n, p.phi0.dim)).cumsum(axis=0) / math.sqrt(n)
+    steps = np.zeros((n, p.phi0.dim))
+    steps[1:] = rng.normal(0.0, 0.5, (n - 1, p.phi0.dim))
+    vals = np.atleast_1d(p.phi0.value_at_zero()) + steps.cumsum(axis=0) / math.sqrt(n)
     return Trajectory(mesh, vals, vals.copy(), p.phi0, 0.0)
 
 

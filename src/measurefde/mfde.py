@@ -168,15 +168,15 @@ def _in_batches(n: int, run: Callable[[int, int], int]):
     """Call run(a, b) on consecutive cell ranges [a, b) that cover n cells,
     once on (0, 0) when n is 0.  The first range has 16 cells; each later
     one has as many cells as keep its 2 (b - a) + 1 rows within BATCH_READS
-    history points, at the reads per row that run returned for the range
-    before it."""
-    a, cells = 0, 16
+    history points, at the most reads per row that run returned for any
+    range before it, so that a cheap range cannot size a wide one."""
+    a, cells, most = 0, 16, 1
     while True:
         b = min(a + cells, n)
-        reads = run(a, b)
+        most = max(most, run(a, b))
         if b >= n:
             return
-        a, cells = b, max(1, (BATCH_READS // max(reads, 1) - 1) // 2)
+        a, cells = b, max(1, (BATCH_READS // most - 1) // 2)
 
 
 def _sweep(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
@@ -364,6 +364,8 @@ def residual(x: Trajectory, p: MfdeProblem) -> float:
 
 KERNEL_CUTOFF = 6.0  # kernel tail beyond -6 is below 1e-12 in integral mass
 KERNEL_H = 0.0125    # widest Simpson half panel of the kernel rules
+# times each memo of the tanh example holds at most; past that it stores no more
+MEMO_SIZE = 2 ** 16
 
 
 def _kernel(theta):
@@ -371,15 +373,17 @@ def _kernel(theta):
     return np.exp(-th * th + th)
 
 
-def _lag_rules(t: np.ndarray, max_h: float) -> tuple[np.ndarray, np.ndarray]:
+def _lag_rules(t: np.ndarray, max_h: float,
+               cols: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Composite Simpson on [-KERNEL_CUTOFF, -t] for each t, at most max_h
     per half panel, as nodes and kernel-weighted weights: one row per t,
-    padded with zero-weight nodes at -t (all of them when t >= the cutoff)."""
+    padded to at least cols nodes with zero-weight nodes at -t (all of them
+    when t >= the cutoff)."""
     b = -t
     width = np.maximum(b + KERNEL_CUTOFF, 0.0)
     twice = [2 * max(1, math.ceil(w / (2.0 * max_h))) for w in width.tolist()]
     ends = np.array(twice, dtype=float)[:, None]
-    j = np.arange(max(twice) + 1.0)
+    j = np.arange(max(max(twice) + 1.0, float(cols)))
     step = width[:, None] / ends
     nodes = j * step
     nodes -= KERNEL_CUTOFF
@@ -396,6 +400,47 @@ def _lag_rules(t: np.ndarray, max_h: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+class _TimeMemo:
+    """One float per time for up to MEMO_SIZE times, in two arrays sorted
+    by time, whose storage doubles when it fills.  No numpy sort runs: its
+    code alone would add 0.2 MB of resident memory to a solve."""
+
+    __slots__ = ("keys", "vals", "n")
+
+    def __init__(self):
+        self.keys, self.vals, self.n = np.empty(256), np.empty(256), 0
+
+    def get(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A new array of the values kept for the times t, arbitrary where
+        a time is missing, and the mask of the missing times."""
+        if not self.n:
+            return np.empty(len(t)), np.ones(len(t), dtype=bool)
+        keys = self.keys[:self.n]
+        i = np.minimum(keys.searchsorted(t), self.n - 1)
+        return self.vals[i], keys[i] != t
+
+    def put(self, t: np.ndarray, vals: np.ndarray):
+        """Keep vals at the times t, none of them kept yet."""
+        fresh = sorted(dict(zip(t.tolist(), vals.tolist())).items())
+        n, m = self.n, len(fresh)
+        if not m or n + m > MEMO_SIZE:
+            return
+        if n + m > len(self.keys):
+            size = min(max(2 * len(self.keys), n + m), MEMO_SIZE)
+            for name in ("keys", "vals"):
+                grown = np.empty(size)
+                grown[:n] = getattr(self, name)[:n]
+                setattr(self, name, grown)
+        t, vals = np.array([k for k, _ in fresh]), np.array([v for _, v in fresh])
+        keys, kept = self.keys[:n].copy(), self.vals[:n].copy()
+        # each time's place among the old and the new times together
+        at = keys.searchsorted(t) + np.arange(m)
+        old = t.searchsorted(keys) + np.arange(n)
+        self.keys[old], self.vals[old] = keys, kept
+        self.keys[at], self.vals[at] = t, vals
+        self.n = n + m
+
+
 def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
                         jumps: tuple = ()) -> MfdeProblem:
     """Scalar problem with a saturating distributed right-hand side.
@@ -407,16 +452,56 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
     0.5 * exp(theta) with a zero tail; g is the identity plus any
     caller-supplied impulses.  f and rho take a float t with one history or
     an array of times with a batched one.
+
+    The solver never writes phi0, so whatever reads only phi0 (times at or
+    below t0) depends on the time alone, and the batched forms keep it per
+    time.  rho keeps the lag of every row at t > 0 whose reads all lie in
+    phi0, which is every such row when t0 >= 0.  f sums its kernel columns
+    in two parts: the head, which no time up to t0 + sigma reads above t0
+    (321 of the 481 columns at sigma = 2), and the rest; it keeps the head.
+    A batch computes and reads only the rows it finds no kept value for,
+    and f's rest; a batch of kept times makes no lag reads and builds no
+    lag rules.  Only a batch view of this problem's phi0 at this t0 is
+    served kept values, and every row's bits are the same in any batch.
     """
     (nodes,), (kw,) = _lag_rules(np.array([0.0]), KERNEL_H)  # kernel weights
-    # the last batch's times with its shifted lag nodes and weights: a Picard
-    # window calls rho on the same times every sweep.  Never written in place.
+    depth = KERNEL_CUTOFF + sigma + 1.0
+    theta_grid = np.linspace(-depth, 0.0, 1024)
+    phi0 = RegulatedFn.polyline(theta_grid, 0.5 * np.exp(theta_grid),
+                                tail_value=0.0)
+    head = int(np.count_nonzero((t0 + sigma) + nodes <= t0))
+    lags, heads = _TimeMemo(), _TimeMemo()
+    # the times, shifted lag nodes and weights of the last rows rho
+    # computed: a window's first rows recur on every sweep.  Never written
+    # in place.
     last = [np.empty(0), None, None]
+
+    def own(psi) -> bool:
+        """Whether psi is a batch view of this problem's phi0 at t0."""
+        return (isinstance(psi, _HistoryView) and psi.x.initial_history is phi0
+                and psi.x.t0 == t0 and psi.lo == -depth and psi.rep == 1)
+
+    def ksum(psi, cols: slice) -> np.ndarray:
+        """f's kernel integral over the columns cols, one sum per row."""
+        return (np.tanh(psi(nodes[cols])) * kw[cols]).sum(axis=1)
 
     def f(t, psi):
         if np.ndim(t) == 0:
             return float(math.cos(t) ** 2 * np.dot(kw, np.tanh(psi(nodes))))
-        return np.cos(t) ** 2 * (np.tanh(psi(nodes)) * kw).sum(axis=1)
+        rest = ksum(psi, slice(head, None))
+        if not head:
+            return np.cos(t) ** 2 * rest
+        if own(psi):
+            part, miss = heads.get(psi.t)
+            if miss.any():
+                sub = psi.take(miss)
+                fresh = ksum(sub, slice(0, head))
+                ok = sub.t + nodes[head - 1] <= t0  # every head read in phi0
+                heads.put(sub.t[ok], fresh[ok])
+                part[miss] = fresh
+        else:
+            part = ksum(psi, slice(0, head))
+        return np.cos(t) ** 2 * (part + rest)
 
     def rho(t, psi):
         if np.ndim(t) == 0:
@@ -424,21 +509,38 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
                 return float(t)
             (r_nodes,), (r_kw,) = _lag_rules(np.array([float(t)]), KERNEL_H)
             return float(t - np.dot(r_kw, np.tanh(np.abs(psi(r_nodes - t)))))
-        if not np.array_equal(t, last[0]):
-            r_nodes, r_kw = _lag_rules(t, KERNEL_H)
-            r_nodes -= t[:, None]
-            last[:] = t.copy(), r_nodes, r_kw
-        _, r_nodes, r_kw = last
+        if not (t < KERNEL_CUTOFF).any():  # every row at or past the cutoff
+            return t.copy()
+        kept = own(psi) and np.array_equal(psi.t, t)
+        s = t
+        if kept:
+            r, miss = lags.get(t)
+            if not miss.any():
+                return r
+            s, psi = t[miss], psi.take(miss)
+        if np.array_equal(s, last[0]):
+            _, r_nodes, r_kw = last
+        else:
+            # rows padded to the kernel's width sum alike in any batch
+            r_nodes, r_kw = _lag_rules(s, KERNEL_H, len(nodes))
+            r_nodes -= s[:, None]
+            last[:] = s.copy(), r_nodes, r_kw
         vals = psi(r_nodes)
         vals = r_kw * np.tanh(np.abs(vals, out=vals), out=vals)
         # rows at or past the cutoff have zero weights: their lag is 0
-        return t - vals.sum(axis=1)
+        lag = s - vals.sum(axis=1)
+        if not kept:
+            return lag
+        if r_nodes.shape[1] == len(nodes):
+            # a row's last node is its latest read; s > 0 keeps it below
+            # theta = 0, where a post index reads the iterate
+            reach = s + np.minimum(np.maximum(r_nodes[:, -1], -depth), 0.0)
+            ok = (s > 0.0) & (reach <= t0)
+            lags.put(s[ok], lag[ok])
+        r[miss] = lag
+        return r
 
     c_bar = float(np.dot(kw, np.exp(nodes)))   # int |T| e^theta
-    depth = KERNEL_CUTOFF + sigma + 1.0
-    theta_grid = np.linspace(-depth, 0.0, 1024)
-    phi0 = RegulatedFn.polyline(theta_grid, 0.5 * np.exp(theta_grid),
-                                tail_value=0.0)
     bounds = ProblemBounds(
         M_fn=lambda s: 1.0,             # sup |T/e^theta| = 1 forces |f| <= 1
         L=lambda s: c_bar,

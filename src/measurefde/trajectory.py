@@ -101,6 +101,11 @@ class _HistoryView:
         post = None if self.post is None or self.post[i] < 0 else int(self.post[i])
         return self._like(float(self.t[i]), post)
 
+    def take(self, rows) -> "_HistoryView":
+        """The rows of a batch without repeats that rows selects, as a batch."""
+        post = None if self.post is None else self.post[rows]
+        return self._like(self.t[rows], post)
+
     def repeat(self, k: int) -> "_HistoryView":
         """The batch with every row repeated k times in place; reads shared
         by all rows are made once per distinct row."""

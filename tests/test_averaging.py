@@ -6,6 +6,7 @@ import pytest
 
 from _oracles import averaged_rhs
 from measurefde.averaging import (AvgConditionError, _original_problem,
+                                  _random_extension,
                                   check_problem, compare, error_constant,
                                   estimate_constants, linear_periodic_problem,
                                   make_averaged_rule, sine_problem,
@@ -177,6 +178,18 @@ def test_estimate_constants_cover_sampled_data():
     est = estimate_constants(p, n_samples=20, seed=0)
     assert est["C"] >= 1.9        # true Lipschitz constant is 2
     assert est["M"] > 0 and est["Kp"] == 1.0
+
+
+def test_random_extension_starts_from_phi0_at_zero():
+    # the Gaussian steps start after the node at t0, so C2 and C3 are
+    # sampled along an extension that does not jump right after t0
+    p = linear_periodic_problem()
+    x = _random_extension(p, np.random.default_rng(0), 65)
+    phi_at_0 = p.phi0.value_at_zero()
+    assert np.array_equal(x.values[0], phi_at_0)
+    assert np.array_equal(x.value_at(0.0), phi_at_0)
+    assert np.abs(x.value_at(1e-9) - phi_at_0).max() <= 1e-6
+    assert np.abs(x.values[1] - phi_at_0).max() > 0.0
 
 
 # -- structural condition checks ------------------------------------------------------

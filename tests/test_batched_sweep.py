@@ -297,3 +297,22 @@ def test_averaging_sweep_batches_are_few(monkeypatch, tmp_path):
     assert cli.main(["avg", "--case", "linear", "--eps", "0.2,0.1,0.05,0.025",
                      "--L", "1", "--out", "run"]) == 0
     assert calls[0] <= 700
+
+
+def test_batches_are_sized_by_the_most_reads_per_row_so_far():
+    # a cheap range (a lag served from a memo, say) between wide ones must
+    # not size the next wide range past BATCH_READS
+    def per_row(a: int) -> int:
+        return (481, 160, 160, 481, 1, 481, 3, 3, 481)[min(a // 16, 8)]
+
+    ranges = []
+
+    def run(a: int, b: int) -> int:
+        ranges.append((a, b))
+        return per_row(a)
+
+    mfde._in_batches(400, run)
+    assert ranges[0] == (0, 16) and ranges[-1][1] == 400
+    assert all(b0 == a1 for (_, b0), (a1, _) in zip(ranges, ranges[1:]))
+    for a, b in ranges[1:]:
+        assert (2 * (b - a) + 1) * per_row(a) <= mfde.BATCH_READS

@@ -1,0 +1,217 @@
+"""The tanh example's per-time memo of what it reads from phi0.
+
+rho keeps the lag of every row whose reads all lie in phi0, and f keeps
+the part of its kernel integral over the columns that no time of the
+horizon reads above t0.  A kept value must carry the bits a memo-free
+evaluation gives, and no row that reads the iterate, and no other history,
+may be served one.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from measurefde import mfde
+from measurefde.mfde import (_HistoryView, build_mesh, initial_trajectory,
+                             residual, solve_picard, tanh_kernel_problem)
+from measurefde.phase_space import RegulatedFn
+from measurefde.trajectory import Trajectory
+
+
+def seed0_train(t0: float) -> tuple:
+    """The benchmark's seed-0 impulse train on [t0, t0 + 2]: impulses at
+    t0 + 0.1 k +- 0.02, k = 1 .. 19, of sizes 0.02-0.06."""
+    rng = np.random.default_rng(0)
+    times = 0.1 * np.arange(1, 20) + rng.uniform(-0.02, 0.02, 19)
+    sizes = rng.uniform(0.02, 0.06, 19)
+    return tuple((t0 + float(t), float(m)) for t, m in zip(times, sizes))
+
+
+def noisy(p, step: float, seed: int) -> Trajectory:
+    x = initial_trajectory(p, build_mesh(p, step))
+    x.values += np.cumsum(np.random.default_rng(seed).normal(0.0, 0.05, x.values.shape),
+                          axis=0)
+    x.post_jump_values = x.values.copy()
+    return x
+
+
+def lag(p, x, t):
+    return p.rho_delay(t, _HistoryView(x, t, p.history_depth))
+
+
+def rhs(p, x, t, at):
+    return p.f(t, _HistoryView(x, at, p.history_depth))
+
+
+@pytest.mark.parametrize("t0", [0.0, 1e6])
+@pytest.mark.parametrize("train", [False, True])
+def test_memo_equals_memo_free_evaluation(monkeypatch, t0, train):
+    jumps = seed0_train(t0) if train else ()
+    p = tanh_kernel_problem(sigma=2.0, t0=t0, jumps=jumps)
+    x, iters, _ = solve_picard(p, 2e-3)
+    defect = residual(x, p)
+    # with no room in the memo every row is computed afresh
+    monkeypatch.setattr(mfde, "MEMO_SIZE", 0)
+    q = tanh_kernel_problem(sigma=2.0, t0=t0, jumps=jumps)
+    y, iters_q, _ = solve_picard(q, 2e-3)
+    assert iters == iters_q
+    assert np.array_equal(x.values, y.values)
+    assert np.array_equal(x.post_jump_values, y.post_jump_values)
+    assert residual(y, q) == defect
+    # batches the solve never made, served from p's memo, against fresh
+    # rows of q: a row's bits do not depend on its batch
+    rng = np.random.default_rng(1)
+    half = np.sort(np.concatenate([x.mesh, 0.5 * (x.mesh[1:] + x.mesh[:-1])]))
+    for t in (half[5:40], half[::7], rng.permutation(half)[:50], half[-1:]):
+        r = lag(p, x, t)
+        assert np.array_equal(r, lag(q, x, t))
+        assert np.array_equal(rhs(p, x, t, r), rhs(q, x, t, r))
+
+
+def test_kept_batches_make_no_lag_reads():
+    p = tanh_kernel_problem(sigma=2.0)
+    x, _, _ = solve_picard(p, 2e-3)
+    t = x.mesh[1:200]
+    view = _HistoryView(x, t, p.history_depth)
+    r = p.rho_delay(t, view)
+    assert view.reads[0] == 0
+    fview = _HistoryView(x, r, p.history_depth)
+    p.f(t, fview)
+    assert fview.reads[0] == 160   # 481 kernel columns, 321 of them kept
+
+
+@pytest.mark.parametrize("t0", [-5.0, -0.5])
+def test_rows_that_read_the_iterate_are_never_kept(t0):
+    # the lag at t reads up to min(t, -t): the iterate for every t > t0
+    # at t0 = -5, and at t0 = -0.5 for |t| < 0.5, where t >= 0.5 is kept
+    p = tanh_kernel_problem(sigma=2.0, t0=t0)
+    fresh = tanh_kernel_problem(sigma=2.0, t0=t0)
+    x = noisy(p, 0.05, 3)
+    # rows at t > 0 alone make a batch whose rows the memo may keep
+    for t in (x.mesh, x.mesh[x.mesh > 0.0]):
+        if not len(t):
+            continue
+        latest = np.minimum(t, -t)
+        before = [lag(p, x, t) for _ in range(2)]
+        assert np.array_equal(before[0], before[1])
+        x.values += 0.3
+        x.post_jump_values += 0.3
+        after = lag(p, x, t)
+        assert np.array_equal(after, lag(fresh, x, t))
+        moved = latest > t0 + 1e-6
+        assert moved.any() and np.all(after[moved] != before[0][moved])
+        assert np.array_equal(after[latest <= t0], before[0][latest <= t0])
+        # f after the change, on rows kept before it, against fresh rows
+        assert np.array_equal(rhs(p, x, t, after), rhs(fresh, x, t, after))
+
+
+def test_right_limit_at_t0_is_never_kept():
+    # the lag at t = t0 = 0 reads theta = 0, where a post index reads the
+    # iterate's right limit in place of phi0(0)
+    p = tanh_kernel_problem(sigma=2.0)
+    x = noisy(p, 0.05, 4)
+    x.post_jump_values[0] += 0.5
+    t = x.mesh[:10]
+    post = np.full(len(t), -1)
+    post[0] = 0
+    plain = lag(p, x, t)
+    right = p.rho_delay(t, _HistoryView(x, t, p.history_depth, post))
+    fresh = tanh_kernel_problem(sigma=2.0)
+    assert right[0] != plain[0]
+    assert np.array_equal(right, fresh.rho_delay(t, _HistoryView(x, t, p.history_depth, post)))
+
+
+def test_head_columns_read_past_t0_are_never_kept():
+    # stretched past the horizon it was built for, the problem reads the
+    # iterate in f's head columns at times beyond t0 + 2
+    p = replace(tanh_kernel_problem(sigma=2.0), sigma=3.0)
+    fresh = tanh_kernel_problem(sigma=2.0)
+    x = noisy(p, 0.05, 5)
+    t = x.mesh[x.mesh > 1.5]
+    before = [rhs(p, x, t, t) for _ in range(2)]
+    assert np.array_equal(before[0], before[1])
+    x.values *= 1.5
+    x.post_jump_values *= 1.5
+    after = rhs(p, x, t, t)
+    assert np.array_equal(after, rhs(fresh, x, t, t))
+    assert np.all(after != before[0])
+
+
+def test_other_histories_are_never_served_kept_values():
+    p = tanh_kernel_problem(sigma=2.0)
+    x, _, _ = solve_picard(p, 2e-3)
+    t = x.mesh[:751:3]
+    r = lag(p, x, t)
+    fx = rhs(p, x, t, r)
+    phi = p.phi0
+    fresh = tanh_kernel_problem(sigma=2.0)
+    # the same values on another object are computed afresh, to the same bits
+    same = Trajectory(x.mesh, x.values, x.post_jump_values,
+                      RegulatedFn(phi.thetas, phi.left, phi.right, phi.tail_value), 0.0)
+    assert np.array_equal(lag(p, same, t), r)
+    assert np.array_equal(rhs(p, same, t, r), fx)
+    # another initial history, or the same one from another t0, at times
+    # the memo holds: never served kept values
+    other = Trajectory(x.mesh, x.values, x.post_jump_values,
+                       RegulatedFn(phi.thetas, 1.5 * phi.left, 1.5 * phi.right, 0.0), 0.0)
+    later = Trajectory(x.mesh + 0.5, x.values, x.post_jump_values, phi, 0.5)
+    for y, s in ((other, t), (later, t + 0.5)):
+        ry = lag(p, y, s)
+        assert np.array_equal(ry, lag(fresh, y, s))
+        assert not np.array_equal(ry, lag(p, x, s))
+        fy = rhs(p, y, s, r)
+        assert np.array_equal(fy, rhs(fresh, y, s, r))
+        assert not np.array_equal(fy, fx)
+
+
+def test_kept_values_are_returned_as_new_arrays():
+    p = tanh_kernel_problem(sigma=2.0)
+    x, _, _ = solve_picard(p, 2e-3)
+    t = x.mesh[10:50]
+    r, fx = lag(p, x, t), rhs(p, x, t, t - 0.2)
+    for _ in range(2):
+        a, b = lag(p, x, t), rhs(p, x, t, t - 0.2)
+        assert np.array_equal(a, r) and np.array_equal(b, fx)
+        a[:] = np.nan
+        b[:] = np.nan
+
+
+def test_lag_rules_built_once_per_window(monkeypatch):
+    # the solve builds the lag rules on each window's first sweep; the
+    # first window's t = 0 row (it reads theta = 0, never kept) adds one,
+    # and the monotone-delay check one more, which residual reuses
+    p = tanh_kernel_problem(sigma=2.0)
+    builds, windows = [0], []
+    rules, partition = mfde._lag_rules, mfde._partition_windows
+
+    def counted(*args):
+        builds[0] += 1
+        return rules(*args)
+
+    def recorded(*args):
+        windows.extend(partition(*args))
+        return windows
+
+    monkeypatch.setattr(mfde, "_lag_rules", counted)
+    monkeypatch.setattr(mfde, "_partition_windows", recorded)
+    x, _, _ = solve_picard(p, 2e-3)
+    residual(x, p)
+    assert len(windows) > 100
+    assert builds[0] <= len(windows) + 2
+
+
+def test_tanh_observed_order():
+    # sup |x_h - x_{5e-4}| on the nodes of x_h measured 1.19e-8, 1.40e-9
+    # and 2.84e-10 at h = 4e-3, 2e-3, 1e-3: halving ratios 8.5 and 4.9.
+    # The finest error sits below tol = 1e-9 and holds the reference's own
+    # error, so each ratio may move by a factor 1.5 and each error by 2.
+    ref = solve_picard(tanh_kernel_problem(sigma=2.0), 5e-4)[0]
+    errs = []
+    for h in (4e-3, 2e-3, 1e-3):
+        x = solve_picard(tanh_kernel_problem(sigma=2.0), h)[0]
+        errs.append(float(np.abs(x.values - ref.value_at(x.mesh)).max()))
+    for err, measured in zip(errs, (1.19e-8, 1.40e-9, 2.84e-10)):
+        assert measured / 2 <= err <= 2 * measured
+    for (a, b), measured in zip(zip(errs, errs[1:]), (8.5, 4.9)):
+        assert measured / 1.5 <= a / b <= 1.5 * measured
