@@ -15,9 +15,8 @@ from .mfde import (MfdeProblem, ProblemBounds, Trajectory, gamma_apply,
 from .averaging import (AvgProblem, AvgReport, compare, error_constant,
                         linear_periodic_problem, sine_problem, solve_averaged,
                         solve_original)
-from .esc import (EsParams, EsTrace, PdeDiag, lyapunov_diagnostic, simulate,
-                  static_map, step, table1_params, tail_metrics,
-                  transport_diagnostic)
+from .esc import (EsParams, EsTrace, PdeDiag, simulate, static_map, step,
+                  table1_params, tail_metrics, transport_diagnostic)
 
 __all__ = [
     "Integrator", "GronwallReport", "check_gronwall", "integrate",
@@ -31,7 +30,6 @@ __all__ = [
     "AvgProblem", "AvgReport", "compare", "error_constant",
     "linear_periodic_problem", "sine_problem", "solve_averaged",
     "solve_original",
-    "EsParams", "EsTrace", "PdeDiag", "lyapunov_diagnostic", "simulate",
-    "static_map", "step", "table1_params", "tail_metrics",
-    "transport_diagnostic",
+    "EsParams", "EsTrace", "PdeDiag", "simulate", "static_map", "step",
+    "table1_params", "tail_metrics", "transport_diagnostic",
 ]

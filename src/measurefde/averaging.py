@@ -17,7 +17,7 @@ import numpy as np
 
 from . import phase_space  # segment read at call time: perfbench/tracer.py patches it
 from .mfde import (ConvergenceError, HypothesisViolationError, MfdeProblem,
-                   ProblemBounds, Trajectory, solve_picard)
+                   ProblemBounds, Trajectory, _check_depth, _rows, solve_picard)
 from .phase_space import UNIFORM_WEIGHT, HistoryRangeError, RegulatedFn, Weight
 from .stieltjes import (Integrator, IntegrandError, IntegratorDomainError,
                         _sample, _simpson_rule)
@@ -41,6 +41,11 @@ class AvgProblem:
     Lipschitz), C3 (delay shift sensitivity per unit eps), C4 (delay history
     Lipschitz), M (sup bound for f and the perturbation), Kp (bound for the
     norm-growth envelope on the horizon).
+
+    The solves call f, rho_delay and g_pert as MfdeProblem calls its
+    right-hand sides, once per batch of times; check_problem and
+    estimate_constants call f and rho_delay at a float time on a RegulatedFn.
+    history_depth is None or finite and positive, as in MfdeProblem.
     """
 
     f: Callable[[float, RegulatedFn], object]
@@ -58,13 +63,11 @@ class AvgProblem:
     history_depth: float = 1.0
     solver_tol: float = 1e-9
     max_iters: int = 100
-    # f, rho_delay and g_pert accept an array of times: with one history,
-    # or with a batched history that has one row per time
-    f_vectorized: bool = False
 
     def __post_init__(self):
         if not all(v > 0 for v in (self.T, self.alpha, self.L, self.eps0)):
             raise ValueError("T, alpha, L, eps0 must all be positive")
+        _check_depth(self.history_depth)
 
     def const(self, name: str) -> float:
         try:
@@ -165,12 +168,11 @@ def check_problem(p: AvgProblem, n_samples: int = 12,
 def make_averaged_rule(p: AvgProblem, n_panels: int = 64):
     """Precompute a fixed quadrature rule for the averaged right-hand side.
 
-    Returns f0(psi) evaluating (1/T) * [sum w_i f(s_i, psi) + jump atoms].
-    Simpson panels are laid out between the jump times of h on [0, T); the
-    jump at 0 belongs to the period, the jump at T does not.  When f is
-    vectorised, f0(psi, rows) also takes a batched history with that many
-    rows and returns one row each, from one call of f over every
-    (row, node) pair.
+    Returns f0(psi, rows) evaluating (1/T) * [sum w_i f(s_i, psi) + jump
+    atoms] on a batched history psi with that many rows, one row each, from
+    one call of f over every (row, node) pair.  Simpson panels are laid out
+    between the jump times of h on [0, T); the jump at 0 belongs to the
+    period, the jump at T does not.
     """
     cuts = [0.0] + [t for t, _ in p.h.jumps if 0.0 < t < p.T] + [p.T]
     nodes = []
@@ -182,29 +184,14 @@ def make_averaged_rule(p: AvgProblem, n_panels: int = 64):
     s_nodes = np.concatenate(nodes)
     s_weights = np.concatenate(weights)
     atoms = [(t, m) for t, m in p.h.jumps if 0.0 <= t < p.T]
+    k = len(s_nodes)
 
-    if p.f_vectorized:
-        def f0(psi, rows: int | None = None):
-            if rows is None:
-                total = s_weights @ np.atleast_1d(np.asarray(p.f(s_nodes, psi), float))
-                for t, m in atoms:
-                    total = total + m * np.asarray(p.f(t, psi), float)
-                return np.atleast_1d(total) / p.T
-            k = len(s_nodes)
-            s = s_nodes[None, :].repeat(rows, axis=0).ravel()
-            vals = np.asarray(p.f(s, psi.repeat(k)), float)
-            total = s_weights @ vals.reshape(rows, k, -1)
-            for t, m in atoms:
-                total = total + m * np.asarray(p.f(np.full(rows, t), psi),
-                                               float).reshape(rows, -1)
-            return total / p.T
-    else:
-        def f0(psi):
-            total = sum(w * np.atleast_1d(np.asarray(p.f(float(s), psi), float))
-                        for s, w in zip(s_nodes, s_weights))
-            for t, m in atoms:
-                total = total + m * np.atleast_1d(np.asarray(p.f(t, psi), float))
-            return total / p.T
+    def f0(psi, rows: int):
+        s = s_nodes[None, :].repeat(rows, axis=0).ravel()
+        total = s_weights @ _rows(p.f, s, psi.repeat(k)).reshape(rows, k, -1)
+        for t, m in atoms:
+            total = total + m * _rows(p.f, np.full(rows, t), psi)
+        return total / p.T
     return f0
 
 
@@ -217,10 +204,10 @@ def _original_problem(p: AvgProblem, eps: float) -> MfdeProblem:
     C = p.const("C")
     C2 = p.const("C2")
     C4 = p.const("C4")
-    rhs = lambda s, psi: eps * np.atleast_1d(np.asarray(p.f(s, psi), float))
+    # the solver's _rows shapes what these return, one row per time
+    rhs = lambda s, psi: eps * np.asarray(p.f(s, psi), float)
     # the eps^2 perturbation is a second integral term, against h_pert if set
-    pert = lambda s, psi: eps * eps * np.atleast_1d(
-        np.asarray(p.g_pert(s, psi, eps), float))
+    pert = lambda s, psi: eps * eps * np.asarray(p.g_pert(s, psi, eps), float)
     extra_terms = () if p.g_pert is None else ((pert, p.h_pert or p.h),)
     bounds = ProblemBounds(
         M_fn=lambda s: eps * M * (1.0 + eps),
@@ -231,8 +218,7 @@ def _original_problem(p: AvgProblem, eps: float) -> MfdeProblem:
     return MfdeProblem(f=rhs, rho_delay=lambda s, psi: p.rho_delay(s, psi, eps),
                        g=p.h, phi0=p.phi0, t0=0.0, sigma=horizon, bounds=bounds,
                        tol=p.solver_tol, max_iters=p.max_iters, weight=p.weight,
-                       history_depth=p.history_depth, extra_terms=extra_terms,
-                       batched=p.f_vectorized)
+                       history_depth=p.history_depth, extra_terms=extra_terms)
 
 
 def _default_steps(p: AvgProblem, eps: float) -> tuple[float, float]:
@@ -266,15 +252,12 @@ def solve_averaged(p: AvgProblem, eps: float, step: float | None = None,
         L2=lambda s: eps * p.const("C2") * scale,
         L3=lambda s: p.const("C4"),
     )
-    if p.f_vectorized:
-        rhs = lambda s, psi: eps * f0(psi, len(s))
-    else:
-        rhs = lambda s, psi: eps * f0(psi)
-    prob = MfdeProblem(f=rhs, rho_delay=lambda s, psi: p.rho_delay(s, psi, eps),
+    prob = MfdeProblem(f=lambda s, psi: eps * f0(psi, len(s)),
+                       rho_delay=lambda s, psi: p.rho_delay(s, psi, eps),
                        g=Integrator.identity(), phi0=p.phi0, t0=0.0,
                        sigma=p.L / eps, bounds=bounds, tol=p.solver_tol,
                        max_iters=p.max_iters, weight=p.weight,
-                       history_depth=p.history_depth, batched=p.f_vectorized)
+                       history_depth=p.history_depth)
     traj, _iters, _delta = solve_picard(prob, step=step)
     return traj
 
@@ -401,8 +384,7 @@ def linear_periodic_problem(a0: float = 1.0, b0: float = 1.0, phi_c: float = 1.0
                       rho_delay=lambda s, psi, eps: s,
                       phi0=RegulatedFn.constant(phi_c, window_start=-1.0),
                       T=2.0 * math.pi, alpha=2.0 * math.pi, L=L, eps0=eps0,
-                      consts=consts, weight=UNIFORM_WEIGHT, history_depth=1.0,
-                      f_vectorized=True)
+                      consts=consts, weight=UNIFORM_WEIGHT, history_depth=1.0)
 
 
 def sine_problem(phi_c: float = 1.0, L: float = 1.0, eps0: float = 0.2) -> AvgProblem:

@@ -500,28 +500,6 @@ class PdeDiag:
     boundary_max_err: float
 
 
-def _transport_grid(p: EsParams, trace: EsTrace, n_x: int, max_times: int,
-                    read: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signal carried along the delay interval, on a time-decimated grid.
-
-    Returns (idx, xs, grid) with grid[i, j] = read(phi(s)) at
-    s = t_i + xs[j] (sigma(t_i) - t_i), t_i = trace.times[idx[i]] and
-    phi(s) = s - D(theta(s)).
-    """
-    stride = max(1, len(trace.times) // max_times)
-    idx = np.arange(0, len(trace.times), stride)
-    ts = trace.times[idx]
-    sg = trace.sigma_t[idx]
-    xs = np.linspace(0.0, 1.0, n_x)
-    grid = np.empty((len(ts), n_x))
-    for col, x in enumerate(xs):
-        s = ts + x * (sg - ts)
-        th_s = trace.theta_at(s)
-        phi_s = s - np.asarray(p.delay_fn(th_s), dtype=float)
-        grid[:, col] = read(phi_s)
-    return idx, xs, grid
-
-
 def transport_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 21) -> PdeDiag:
     """Transport view alpha(x, t) = theta(phi(t + x (sigma(t) - t))).
 
@@ -530,7 +508,16 @@ def transport_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 21) -> PdeDiag:
     alpha(0, t) = theta(t - D(theta(t))) are evaluated at every stored time
     and the worst violation is reported.
     """
-    idx, xs, alpha = _transport_grid(p, trace, n_x, 400, trace.theta_at)
+    stride = max(1, len(trace.times) // 400)
+    idx = np.arange(0, len(trace.times), stride)
+    ts = trace.times[idx]
+    sg = trace.sigma_t[idx]
+    xs = np.linspace(0.0, 1.0, n_x)
+    alpha = np.empty((len(ts), n_x))
+    for col, x in enumerate(xs):
+        s = ts + x * (sg - ts)
+        phi_s = s - np.asarray(p.delay_fn(trace.theta_at(s)), dtype=float)
+        alpha[:, col] = trace.theta_at(phi_s)
 
     # inflow boundary via the prediction-time inversion, on the full grid
     err1 = 0.0
@@ -543,44 +530,3 @@ def transport_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 21) -> PdeDiag:
     # outflow boundary against the trace's own delayed time, decimated grid
     err0 = float(np.max(np.abs(alpha[:, 0] - trace.theta_at(trace.phi_t[idx]))))
     return PdeDiag(xs, trace.times[idx], alpha, max(err0, err1))
-
-
-def lyapunov_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 33,
-                        max_times: int = 400,
-                        transient_fraction: float = 0.25) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Energy functional along the run, built from period-averaged signals.
-
-    The filter output is transported over the unit interval the same way as
-    the diagnostic state, the backstepping image w(x, t) = u(x, t) -
-    k H [avg estimate error + (sigma - t) * int_0^x u] is formed by
-    quadrature in x, and V(t) = err^2/2 + (1/2) int e^x w^2 dx + w(1,t)^2/2.
-    Returns (times, V, nonincreasing_after_transient) with a 5 percent
-    ripple allowance.  Qualitative diagnostic only.
-    """
-    m = _period_steps(p)
-    kern = np.ones(m) / m
-    err_av = np.convolve(trace.theta_hat - p.theta_star, kern, mode="full")[:len(trace.times)]
-    u_av_series = np.convolve(trace.U, kern, mode="full")[:len(trace.times)]
-
-    def u_at(tq):
-        tq = np.asarray(tq, dtype=float)
-        out = np.where(tq <= 0.0, 0.0, np.interp(tq, trace.times, u_av_series))
-        return out
-
-    idx, xs, u_grid = _transport_grid(p, trace, n_x, max_times, u_at)
-    ts = trace.times[idx]
-    sg = trace.sigma_t[idx]
-    kh = p.k_gain * p.hessian
-    cumint = np.concatenate([np.zeros((len(ts), 1)),
-                             np.cumsum(0.5 * (u_grid[:, 1:] + u_grid[:, :-1])
-                                       * np.diff(xs)[None, :], axis=1)], axis=1)
-    w = u_grid - kh * (err_av[idx][:, None] + (sg - ts)[:, None] * cumint)
-    exp_x = np.exp(xs)
-    v = (0.5 * err_av[idx] ** 2
-         + 0.5 * np.trapezoid(exp_x[None, :] * w * w, xs, axis=1)
-         + 0.5 * w[:, -1] ** 2)
-    start = int(len(ts) * transient_fraction)
-    running_min = np.minimum.accumulate(v[start:]) if start < len(v) else v[-1:]
-    ok = bool(np.all(v[start:] <= 1.05 * running_min + 1e-12 * max(1.0, v[0]))) \
-        if start < len(v) else True
-    return ts, v, ok

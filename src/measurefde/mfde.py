@@ -51,20 +51,27 @@ class ProblemBounds:
     L3: Callable[[float], float]
 
 
+def _check_depth(depth: float | None):
+    """A history depth is None or finite and positive: a depth of 0 or
+    below would read every delayed history at its own time."""
+    if depth is not None and not 0 < depth < math.inf:
+        raise ValueError("history_depth must be None or finite and positive")
+
+
 @dataclass(frozen=True)
 class MfdeProblem:
     """x = x(t0) + sum of int f_k dg_k: (f, g) is the first term and
     extra_terms holds any further (f_k, g_k) pairs, all read at the same
     delayed history.
 
-    With batched set, rho_delay and every f_k are called with an array of
-    times s and a history psi whose reads return one row per time, and they
-    return one row per time; otherwise they are called once per time with a
-    float and a single history.
+    rho_delay and every f_k are called once per batch: with a 1-d array of
+    times s and a history psi whose reads return one row per time.  They
+    return one value or row per time; a 0-d value holds for every time.
+    history_depth is None (the whole past) or a finite depth > 0.
     """
 
-    f: Callable[[float, RegulatedFn], object]
-    rho_delay: Callable[[float, RegulatedFn], float]
+    f: Callable[[np.ndarray, _HistoryView], object]
+    rho_delay: Callable[[np.ndarray, _HistoryView], object]
     g: Integrator
     phi0: RegulatedFn
     t0: float
@@ -75,7 +82,6 @@ class MfdeProblem:
     weight: Weight = EXP_WEIGHT
     history_depth: float | None = None
     extra_terms: tuple[tuple[Callable, Integrator], ...] = ()
-    batched: bool = False
 
     def __post_init__(self):
         # written as `not x > 0` so that nan fails too
@@ -87,6 +93,7 @@ class MfdeProblem:
             raise ValueError("max_iters must be positive")
         if not math.isfinite(self.t0):
             raise ValueError("t0 must be finite")
+        _check_depth(self.history_depth)
 
     @property
     def terms(self) -> tuple:
@@ -124,21 +131,20 @@ def initial_trajectory(p: MfdeProblem, mesh: np.ndarray,
     return Trajectory(mesh, vals, vals.copy(), p.phi0, p.t0)
 
 
-def _rows(fn, batched: bool, s: np.ndarray, view: _HistoryView) -> np.ndarray:
-    """fn at the times s on the batch view, one row per time: one call when
-    fn takes the batched convention, else one call per row."""
-    if batched:
-        out = fn(s, view)
-    else:
-        out = [fn(si, view.row(i)) for i, si in enumerate(s.tolist())]
-    return np.asarray(out, dtype=float).reshape(len(s), -1)
+def _rows(fn, s: np.ndarray, view: _HistoryView) -> np.ndarray:
+    """fn at the times s on the batch view, one row per time; a 0-d value
+    holds for every row."""
+    out = np.asarray(fn(s, view), dtype=float)
+    if out.ndim == 0:
+        return np.full((len(s), 1), out)
+    return out.reshape(len(s), -1)
 
 
 def _delays(p: MfdeProblem, x: Trajectory, s: np.ndarray,
             post=None) -> tuple[np.ndarray, _HistoryView]:
     """rho_delay at the times s on the histories x_s, and that batch view."""
     view = _HistoryView(x, s, p.history_depth, post)
-    return _rows(p.rho_delay, p.batched, s, view)[:, 0], view
+    return _rows(p.rho_delay, s, view)[:, 0], view
 
 
 def _batch_rhs(p: MfdeProblem, x: Trajectory, s: np.ndarray,
@@ -160,7 +166,7 @@ def _batch_rhs(p: MfdeProblem, x: Trajectory, s: np.ndarray,
             post = post.copy()
             post[~same] = -1
         view = _HistoryView(x, r, p.history_depth, post)
-    rows = [_rows(f, p.batched, s, view) for f, _ in p.terms]
+    rows = [_rows(f, s, view) for f, _ in p.terms]
     return rows, max(delay_reads[0], view.reads[0])
 
 
@@ -450,8 +456,9 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
     with kernel T(theta) = exp(-theta^2 + theta), truncated at theta = -6
     where the remaining mass is below 1e-12.  The initial history is
     0.5 * exp(theta) with a zero tail; g is the identity plus any
-    caller-supplied impulses.  f and rho take a float t with one history or
-    an array of times with a batched one.
+    caller-supplied impulses.  f and rho take an array of times with a
+    batched history, as the solver calls them, or a float t with one
+    history, such as a RegulatedFn.
 
     The solver never writes phi0, so whatever reads only phi0 (times at or
     below t0) depends on the time alone, and the batched forms keep it per
@@ -551,4 +558,4 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
         else Integrator.with_jumps(1.0, tuple(jumps))
     return MfdeProblem(f=f, rho_delay=rho, g=g, phi0=phi0,
                        t0=t0, sigma=sigma, bounds=bounds, tol=tol,
-                       weight=EXP_WEIGHT, history_depth=depth, batched=True)
+                       weight=EXP_WEIGHT, history_depth=depth)

@@ -2,8 +2,8 @@
 the Picard sweep reads their histories at absolute times.
 
 Trajectory.value_at is the one rule for x(t).  _HistoryView hands the
-right-hand sides the history x_t, or a batch of histories with one row per
-time, read through that rule without building a RegulatedFn.
+right-hand sides a batch of histories with one row per time, read through
+that rule without building a RegulatedFn.
 """
 
 from __future__ import annotations
@@ -65,26 +65,25 @@ class Trajectory:
 
 
 class _HistoryView:
-    """Histories x_t as theta -> x(t + clip(theta, -depth, 0)), read through
-    Trajectory.value_at without building a RegulatedFn.
+    """A batch of histories x_t, one per entry of the 1-d array t, each read
+    as theta -> x(t + clip(theta, -depth, 0)) through Trajectory.value_at
+    without building a RegulatedFn.
 
-    For a float t it is one history.  For an array of times it is a batch:
-    every read returns one row per time, and a theta array of shape (n, m)
+    Every read returns one row per time, and a theta array of shape (n, m)
     gives row i its own m points.  A post index j >= 0 reads the right limit
     post_jump_values[j] at theta = 0.  Valid only while x is not written:
     f and rho_delay get it for the length of a call.  reads[0] is the most
-    points a batch read made for one of its rows, shared with the views made
-    from it; a row repeated k times counts k times.
+    points a read made for one of its rows, shared with the views made from
+    it; a row repeated k times counts k times.
     """
 
     __slots__ = ("x", "t", "lo", "dim", "post", "rep", "reads")
 
-    def __init__(self, x: Trajectory, t, depth: float | None, post=None):
-        end = float(x.mesh[-1])
-        t_hi, t_lo = (t, t) if isinstance(t, float) else (float(t.max()), float(t.min()))
-        _check_range(x, t_lo, t_hi)
-        if t_hi > end:
-            t = min(t, end) if isinstance(t, float) else np.minimum(t, end)
+    def __init__(self, x: Trajectory, t: np.ndarray, depth: float | None, post=None):
+        t_hi = float(t.max())
+        _check_range(x, float(t.min()), t_hi)
+        if t_hi > x.mesh[-1]:
+            t = np.minimum(t, x.mesh[-1])
         self.x, self.dim, self.t, self.post, self.rep = x, x.dim, t, post, 1
         self.lo = -math.inf if depth is None else -depth
         self.reads = [0]
@@ -94,12 +93,6 @@ class _HistoryView:
         view.x, view.dim, view.lo, view.reads = self.x, self.dim, self.lo, self.reads
         view.t, view.post, view.rep = t, post, rep
         return view
-
-    def row(self, i: int) -> "_HistoryView":
-        """Row i of a batch as one history."""
-        i //= self.rep
-        post = None if self.post is None or self.post[i] < 0 else int(self.post[i])
-        return self._like(float(self.t[i]), post)
 
     def take(self, rows) -> "_HistoryView":
         """The rows of a batch without repeats that rows selects, as a batch."""
@@ -113,17 +106,6 @@ class _HistoryView:
 
     def eval(self, theta) -> np.ndarray:
         x, t, post, rep = self.x, self.t, self.post, self.rep
-        if isinstance(t, float):
-            if isinstance(theta, float):
-                th = min(max(theta, self.lo), 0.0)
-                if th == 0.0 and post is not None:
-                    return x.post_jump_values[post].copy()
-                return x.value_at(t + th)
-            th = np.minimum(np.maximum(theta, self.lo), 0.0)
-            out = x.value_at(t + th)
-            if post is not None:
-                out[th == 0.0] = x.post_jump_values[post]
-            return out
         th = np.maximum(np.asarray(theta, dtype=float), self.lo)
         th = np.minimum(th, 0.0, out=th if th.ndim else None)
         if th.ndim == 2 and rep > 1:  # every repeated row reads its own points

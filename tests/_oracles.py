@@ -8,6 +8,10 @@ fixed-point path except the problem callables themselves.
 The averaged right-hand side oracle computes f0 with the adaptive
 integrate, as a reference for the fixed rule of make_averaged_rule.
 
+The per-row oracle lifts a function of one time and one history to the
+batched calling convention of the solver: it calls the function once per
+row, on a one-row view of that row, which the solver itself never does.
+
 The trajectory oracle is the per-point loop Trajectory.value_at ran before
 it was vectorised, kept as a reference for the vectorised lookup.
 
@@ -37,8 +41,9 @@ from measurefde.averaging import _random_history, history_gap_norm
 from measurefde.esc import (DENOM_FLOOR, AssumptionViolationError,
                             FeasibilityError, static_map)
 from measurefde.mfde import build_mesh, initial_trajectory
-from measurefde.phase_space import _ratio, segment
+from measurefde.phase_space import RegulatedFn, _ratio, segment
 from measurefde.stieltjes import integrate
+from measurefde.trajectory import _HistoryView
 
 
 class AbsHistory:
@@ -62,6 +67,34 @@ class AbsHistory:
         if live.any():
             out[live] = np.interp(tq[live], self.times[:self.n], self.vals[:self.n])
         return float(out[0]) if scalar else out
+
+
+class OneRow:
+    """Row i of a batch history view as one history: reads return that row
+    alone, as a RegulatedFn would, through a one-row view of it."""
+
+    __slots__ = ("view", "dim")
+
+    def __init__(self, view, i: int = 0):
+        self.view, self.dim = view.take([i // view.rep]), view.dim
+
+    def eval(self, theta):
+        return self.view.eval(theta)[0]
+
+    __call__ = RegulatedFn.__call__
+
+
+def history(x, t: float, depth=None) -> OneRow:
+    """The history x_t of trajectory x alone, read through the solver's view."""
+    return OneRow(_HistoryView(x, np.array([t]), depth))
+
+
+def per_row(fn):
+    """fn, which takes one time and one history (and any further arguments),
+    lifted to the batched convention: one call per row of the batch."""
+    def lifted(s, view, *args):
+        return [fn(si, OneRow(view, i), *args) for i, si in enumerate(s.tolist())]
+    return lifted
 
 
 def averaged_rhs(p, psi) -> np.ndarray:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import averaged_rhs
+from _oracles import averaged_rhs, per_row
 from measurefde.averaging import (AvgConditionError, _original_problem,
                                   _random_extension,
                                   check_problem, compare, error_constant,
@@ -15,8 +15,17 @@ from measurefde.averaging import (AvgConditionError, _original_problem,
 from measurefde.mfde import HypothesisViolationError, residual
 from measurefde.phase_space import RegulatedFn
 from measurefde.stieltjes import Integrator
+from measurefde.trajectory import Trajectory, _HistoryView
 
 UNIT_CONSTS = {k: 1.0 for k in ("C", "C2", "C3", "C4", "M", "Kp")}
+
+
+def one_row(psi):
+    """psi as a one-row batch view: the history at t0 = 0 of a trajectory
+    that starts from it."""
+    vals = np.tile(psi.value_at_zero(), (2, 1))
+    x = Trajectory(np.array([0.0, 1.0]), vals, vals.copy(), psi, 0.0)
+    return _HistoryView(x, np.array([0.0]), None)
 
 
 def test_averaged_rhs_time_independent():
@@ -41,8 +50,8 @@ def test_averaged_rule_matches_direct_quadrature():
     p = linear_periodic_problem()
     rule = make_averaged_rule(p, 64)
     psi = RegulatedFn.constant(1.7, window_start=-1.0)
-    assert float(rule(psi)[0]) == pytest.approx(float(averaged_rhs(p, psi)[0]),
-                                                abs=1e-9)
+    assert float(rule(one_row(psi), 1)[0, 0]) == pytest.approx(
+        float(averaged_rhs(p, psi)[0]), abs=1e-9)
 
 
 def test_averaged_rule_with_jump_integrator():
@@ -54,10 +63,28 @@ def test_averaged_rule_with_jump_integrator():
     rule = make_averaged_rule(p, 64)
     psi = RegulatedFn.constant(1.0, window_start=-1.0)
     expected = (T + (1.0 + math.cos(T / 2.0)) * 1.0) / T
-    assert float(rule(psi)[0]) == pytest.approx(expected, abs=1e-9)
+    assert float(rule(one_row(psi), 1)[0, 0]) == pytest.approx(expected, abs=1e-9)
 
 
 # -- solves -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("averaged", [False, True])
+def test_batched_solves_match_per_row_oracle(averaged):
+    # h jumps at T/4, so the original solve has an impulse and the averaged
+    # rule adds an atom to its repeated rows; per_row calls f and rho_delay
+    # once per row of every batch
+    base = linear_periodic_problem(L=0.5)
+    p = replace(base, h=Integrator.with_jumps(lambda s: 1.0, [(base.T / 4.0, 1.0)]),
+                alpha=base.T + 1.0)
+    rows = replace(p, f=per_row(p.f), rho_delay=per_row(p.rho_delay))
+    if averaged:
+        x, y = (solve_averaged(q, 0.2, step=0.05, n_panels=8) for q in (p, rows))
+    else:
+        x, y = (solve_original(q, 0.2, step=0.05) for q in (p, rows))
+        assert (x.post_jump_values - x.values).max() > 0.1
+    assert np.array_equal(x.mesh, y.mesh)
+    assert x.sup_distance(y) <= 1e-12 * np.abs(y.values).max()
 
 
 def test_original_zero_rhs():
@@ -68,7 +95,7 @@ def test_original_zero_rhs():
 
 def test_original_constant_rhs():
     p = replace(linear_periodic_problem(a0=0.0, b0=0.0),
-                f=lambda s, psi: 3.0, f_vectorized=False)
+                f=lambda s, psi: 3.0)
     eps = 0.1
     x = solve_original(p, eps, step=0.02)
     assert np.allclose(x.values[:, 0], 1.0 + eps * 3.0 * x.mesh, atol=1e-10)
@@ -97,7 +124,7 @@ def test_averaged_linear_closed_form():
 
 def test_constant_rhs_degenerate_agreement():
     p = replace(linear_periodic_problem(a0=1.0, b0=0.0, L=0.5),
-                f=lambda s, psi: 2.0, f_vectorized=False)
+                f=lambda s, psi: 2.0)
     eps = 0.1
     x = solve_original(p, eps, step=0.01)
     y = solve_averaged(p, eps, step=0.01, n_panels=64)
@@ -116,7 +143,7 @@ def _dual_problem(**changes):
     # eps^2 term against its own pure-jump integrator
     base = linear_periodic_problem(a0=0.0, b0=0.0, L=0.4)
     h2 = Integrator.pure_jumps([(1.0, 1.0), (3.0, 0.5)])
-    return replace(base, f=lambda s, psi: 1.0, f_vectorized=False,
+    return replace(base, f=lambda s, psi: 1.0,
                    g_pert=lambda s, psi, eps: 2.0, h_pert=h2, **changes)
 
 
@@ -203,7 +230,7 @@ def test_check_problem_passes_on_corpus():
 
 def test_check_problem_rejects_aperiodic_f():
     p = replace(linear_periodic_problem(),
-                f=lambda s, psi: s * psi(0.0), f_vectorized=False)
+                f=lambda s, psi: s * psi(0.0))
     with pytest.raises(AvgConditionError):
         check_problem(p, n_samples=6, seed=0)
 
@@ -220,7 +247,7 @@ def test_check_problem_rejects_future_delay():
 
 def test_compare_degenerate_constant_case():
     p = replace(linear_periodic_problem(a0=1.0, b0=0.0, L=0.5),
-                f=lambda s, psi: 2.0, f_vectorized=False)
+                f=lambda s, psi: 2.0)
     rep = compare(p, [0.2, 0.1], check=False)
     assert all(err < 1e-8 for err in rep.measured_errors)
     assert math.isnan(rep.slope)        # fit skipped as degenerate
@@ -252,7 +279,7 @@ def test_compare_two_eps_order_one():
     # f = 0 lets the averaged solve converge at once: only the eps^2 term
     # against h_pert can fail to converge
     replace(linear_periodic_problem(L=0.5), f=lambda s, psi: 0.0,
-            f_vectorized=False, g_pert=lambda s, psi, eps: 2.0,
+            g_pert=lambda s, psi, eps: 2.0,
             h_pert=Integrator.pure_jumps([(1.0, 1.0), (2.0, 0.5)])),
 ], ids=["single", "dual"])
 def test_compare_records_failures(p):
@@ -268,7 +295,7 @@ def test_compare_propagates_programming_errors():
     def f(s, psi):
         raise TypeError("not a solver failure")
 
-    p = replace(linear_periodic_problem(L=0.5), f=f, f_vectorized=False)
+    p = replace(linear_periodic_problem(L=0.5), f=f)
     with pytest.raises(TypeError, match="not a solver failure"):
         compare(p, [0.2], check=False)
 
@@ -288,7 +315,7 @@ def test_original_with_jumpy_integrator_closed_form():
     # constant forcing against h = identity plus a jump: exact staircase ramp
     base = linear_periodic_problem(a0=0.0, b0=0.0, L=0.6)
     h = Integrator.with_jumps(lambda s: 1.0, [(1.5, 2.0)])
-    p = replace(base, f=lambda s, psi: 3.0, f_vectorized=False, h=h,
+    p = replace(base, f=lambda s, psi: 3.0, h=h,
                 alpha=base.T + 0.0)   # alpha unused by the solve itself
     eps = 0.2
     x = solve_original(p, eps, step=0.01)

@@ -1,9 +1,9 @@
-"""The batched Picard sweep against its per-row adapter.
+"""The batched Picard sweep against the per-row oracle.
 
-A problem that sets MfdeProblem.batched has rho_delay and every f_k called
-once per batch of times, with a history view whose reads return one row per
-time.  Any other problem goes through the per-row adapter over the same
-view.  The two must give the same solution operator and raise the same typed
+The solver calls rho_delay and every f_k once per batch of times, with a
+history view whose reads return one row per time.  The same functions lifted
+by the per-row oracle of _oracles.py, which calls them once per row on a
+one-row view, must give the same solution operator and raise the same typed
 errors.
 """
 
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import OneRow, per_row
 from measurefde import averaging, cli, mfde
 from measurefde.mfde import (ConvergenceError, HypothesisViolationError,
                              MfdeProblem,
@@ -63,7 +64,13 @@ def random_problem(rng, dim, n_jumps, extra, fault):
                                rng.normal(0.0, 1.0, (3, dim)), tail_value=np.zeros(dim))
     return MfdeProblem(f=f, rho_delay=rho, g=g, phi0=phi, t0=t0, sigma=sigma,
                        bounds=BOUNDS, tol=1e-11, history_depth=2.0,
-                       extra_terms=((pert, h),) if extra else (), batched=True)
+                       extra_terms=((pert, h),) if extra else ())
+
+
+def one_per_row(p):
+    """p with rho_delay and every f_k called once per row, through per_row."""
+    return replace(p, f=per_row(p.f), rho_delay=per_row(p.rho_delay),
+                   extra_terms=tuple((per_row(f), g) for f, g in p.extra_terms))
 
 
 def outcome(fn):
@@ -79,12 +86,12 @@ def outcome(fn):
 def test_batched_sweep_matches_per_row_adapter(seed, dim, n_jumps, extra, fault):
     rng = np.random.default_rng(seed)
     batched = random_problem(rng, dim, n_jumps, extra, fault)
-    per_row = replace(batched, batched=False)
+    rows = one_per_row(batched)
     x = initial_trajectory(batched, build_mesh(batched, float(rng.uniform(0.01, 0.1))))
     x.values += rng.normal(0.0, 0.3, x.values.shape)
     x.post_jump_values = x.values + (rng.uniform(size=x.values.shape) < 0.2)
 
-    ga, gb = outcome(lambda: gamma_apply(x, batched)), outcome(lambda: gamma_apply(x, per_row))
+    ga, gb = outcome(lambda: gamma_apply(x, batched)), outcome(lambda: gamma_apply(x, rows))
     if fault == "late":
         assert ga is gb is HypothesisViolationError
     elif fault == "deep":
@@ -94,12 +101,12 @@ def test_batched_sweep_matches_per_row_adapter(seed, dim, n_jumps, extra, fault)
         assert np.abs(ga.values - gb.values).max() <= 1e-12 * scale
         assert np.abs(ga.post_jump_values - gb.post_jump_values).max() <= 1e-12 * scale
     # the lag itself reads only x_s, so it is defined for every fault
-    ra, rb = delayed_time_series(batched, x), delayed_time_series(per_row, x)
+    ra, rb = delayed_time_series(batched, x), delayed_time_series(rows, x)
     assert np.abs(ra - rb).max() <= 1e-12 * (1.0 + np.abs(rb).max())
 
     if fault is None and dim == 1:
         sa = outcome(lambda: solve_picard(batched, step=0.05))
-        sb = outcome(lambda: solve_picard(per_row, step=0.05))
+        sb = outcome(lambda: solve_picard(rows, step=0.05))
         if isinstance(sa, type) or isinstance(sb, type):
             assert sa is sb   # both reject a delay that runs backwards, say
         else:
@@ -116,7 +123,7 @@ def test_batched_view_reads_rows_and_right_limits():
     assert view(np.array([-0.25, 0.0])).tolist() == [[0.25, 0.5], [0.25, 3.0], [2.0, 1.0]]
     per_row = view(np.array([[-0.5], [0.0], [-0.25]]))     # each row its own points
     assert per_row.tolist() == [[0.0], [3.0], [2.0]]
-    assert [view.row(i)(0.0) for i in range(3)] == [0.5, 3.0, 1.0]
+    assert [OneRow(view, i)(0.0) for i in range(3)] == [0.5, 3.0, 1.0]
     rep = view.repeat(2)
     assert rep(0.0).tolist() == [0.5, 0.5, 3.0, 3.0, 1.0, 1.0]
     own = rep(np.array([[0.0], [-0.1], [0.0], [-0.3], [-0.4], [0.0]]))[:, 0]
@@ -156,7 +163,7 @@ def test_tanh_batched_rows_equal_scalar_calls(jumps):
     fx = p.f(s, view)
     assert r.shape == fx.shape == s.shape
     for i, si in enumerate(s.tolist()):
-        row = view.row(i)
+        row = OneRow(view, i)
         assert abs(r[i] - p.rho_delay(si, row)) <= 1e-13
         assert abs(fx[i] - p.f(si, row)) <= 1e-13
         # the scalar forms also take a materialised history
@@ -212,13 +219,12 @@ def test_batch_reads_budget_does_not_change_results(monkeypatch):
     sizes = rng.uniform(0.02, 0.06, 19)
     train = cli._parse_jumps(",".join(f"{t:.6f}:{m:.6f}" for t, m in zip(times, sizes)))
     avg = averaging.linear_periodic_problem(L=1.0)
-    per_row = replace(random_problem(np.random.default_rng(7), 1, 2, True, None),
-                      batched=False)
+    rows = one_per_row(random_problem(np.random.default_rng(7), 1, 2, True, None))
     solves = {
         "original": lambda: averaging.solve_original(avg, 0.1),
         "averaged": lambda: averaging.solve_averaged(avg, 0.1),
         "tanh_impulses": lambda: solve_picard(tanh_kernel_problem(jumps=train), 2e-3)[0],
-        "per_row": lambda: solve_picard(per_row, 0.01)[0],
+        "per_row": lambda: solve_picard(rows, 0.01)[0],
     }
     results = []
     for reads in (2**6, 2**14, 2**20):
@@ -249,8 +255,8 @@ def test_view_counts_reads_per_row_with_repeats():
     assert view.reads[0] == 14
     rep.repeat(3)(np.array([-0.1, 0.0]))
     assert view.reads[0] == 42
-    view.row(1)(np.linspace(-0.5, 0.0, 100))  # a single history is no batch
-    assert view.reads[0] == 42
+    view.take([1])(np.linspace(-0.5, 0.0, 100))  # made from the batch too
+    assert view.reads[0] == 100
 
 
 def test_one_point_rows_in_one_long_window_keep_memory_flat():
@@ -263,7 +269,7 @@ def test_one_point_rows_in_one_long_window_keep_memory_flat():
                     phi0=RegulatedFn.constant(1.0, window_start=-1.0),
                     t0=0.0, sigma=40.0, bounds=ProblemBounds(*(lambda s: c,) * 3,
                                                              lambda s: 0.0),
-                    weight=UNIFORM_WEIGHT, history_depth=1.0, batched=True)
+                    weight=UNIFORM_WEIGHT, history_depth=1.0)
     tracemalloc.start()
     try:
         x, _, _ = solve_picard(p, step=1e-3)
@@ -302,17 +308,17 @@ def test_averaging_sweep_batches_are_few(monkeypatch, tmp_path):
 def test_batches_are_sized_by_the_most_reads_per_row_so_far():
     # a cheap range (a lag served from a memo, say) between wide ones must
     # not size the next wide range past BATCH_READS
-    def per_row(a: int) -> int:
+    def reads_of(a: int) -> int:
         return (481, 160, 160, 481, 1, 481, 3, 3, 481)[min(a // 16, 8)]
 
     ranges = []
 
     def run(a: int, b: int) -> int:
         ranges.append((a, b))
-        return per_row(a)
+        return reads_of(a)
 
     mfde._in_batches(400, run)
     assert ranges[0] == (0, 16) and ranges[-1][1] == 400
     assert all(b0 == a1 for (_, b0), (a1, _) in zip(ranges, ranges[1:]))
     for a, b in ranges[1:]:
-        assert (2 * (b - a) + 1) * per_row(a) <= mfde.BATCH_READS
+        assert (2 * (b - a) + 1) * reads_of(a) <= mfde.BATCH_READS

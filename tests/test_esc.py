@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measurefde.esc import (EsParams, EsTrace, FeasibilityError, SimState,
-                            constant_delay, lyapunov_diagnostic,
-                            prediction_times, simulate, sin5sq_delay,
-                            sin5sq_delay_grad, static_map, step, table1_params,
-                            tail_metrics, transport_diagnostic)
+                            constant_delay, prediction_times, simulate,
+                            sin5sq_delay, sin5sq_delay_grad, static_map, step,
+                            table1_params, tail_metrics, transport_diagnostic)
 
 from _oracles import delayed_output, prediction_time, predictor_integral
 
@@ -386,29 +385,48 @@ def test_transport_boundary_identities(table1_run):
     assert diag.boundary_max_err <= 1e-6
 
 
-def test_lyapunov_zero_state():
-    p = quick_params(a=1e-9, theta_hat0=8.0, t_end=2.0, k_gain=0.0)
-    tr = simulate(p)
-    _, v, ok = lyapunov_diagnostic(p, tr)
-    assert np.max(v) < 1e-12
-    assert ok
+# measured sup |theta_hat - theta* - theta_tilde_avg| on the grid of the test
+# below, at omega = 8, 16, 32 and 64
+AVERAGED_GAPS = {0.0: (3.62e-2, 1.74e-2, 8.39e-3, 4.13e-3),
+                 0.5: (3.03e-2, 1.80e-2, 6.83e-3, 3.62e-3)}
 
 
-def test_lyapunov_reduces_to_error_energy():
-    # decaying estimate, no control: V collapses to the squared average error
-    p = quick_params(a=1e-9, theta_hat0=8.0, t_end=4.0, k_gain=0.0)
-    tr = simulate(p)
-    tr.theta_hat = 8.0 + np.exp(-tr.times)      # synthetic decaying error
-    tr.theta = tr.theta_hat + (tr.theta - 8.0)
-    ts, v, ok = lyapunov_diagnostic(p, tr)
-    assert ok
-    tail = v[len(v) // 2:]
-    assert np.all(np.diff(tail) <= 1e-12)
+@pytest.mark.parametrize("delay", sorted(AVERAGED_GAPS))
+def test_es_approaches_its_averaged_system(delay):
+    """With a constant delay D and the predictor on, the loop is close to
+    its averaged system, and closer as the dither speeds up: O(1/omega).
 
-
-def test_lyapunov_trend_on_stock_run(table1_run):
-    _, v, ok = lyapunov_diagnostic(table1_run["params"], table1_run["trace"])
-    assert ok
+    Over one dither period, with theta_tilde = theta_hat - theta* slow,
+    G = M(t - D) y(t - D) averages to H theta_tilde(t - D), H_hat to H, and
+    Gamma = H_hat int_{t-D}^{t} U to H (theta_tilde(t) - theta_tilde(t - D)).
+    So the bracket k (G + Gamma) averages to k H theta_tilde(t), and
+        theta_tilde' = U,   U' = c (k H theta_tilde - U),
+    whose eigenvalues lam = (-c +- sqrt(c^2 + 4 c k H)) / 2 are -1 +- sqrt(0.6)
+    on table1 (c = 2, k = 0.2, H = -1).  From theta_tilde(0) = e0 and
+    U(0) = u0,
+        theta_tilde(t) = ((l2 e0 - u0) e^{l1 t} - (l1 e0 - u0) e^{l2 t}) / (l2 - l1).
+    """
+    omegas = (8.0, 16.0, 32.0, 64.0)
+    gaps = []
+    for omega, measured in zip(omegas, AVERAGED_GAPS[delay]):
+        p = table1_params(omega=omega, dt=min(1e-3, 0.04 / omega), t_end=20.0,
+                          delay_fn=constant_delay(delay),
+                          delay_grad=constant_delay(0.0))
+        tr = simulate(p)
+        root = math.sqrt(p.c * p.c + 4.0 * p.c * p.k_gain * p.hessian)
+        l1, l2 = (-p.c + root) / 2.0, (-p.c - root) / 2.0
+        assert (l1, l2) == pytest.approx((-1.0 + math.sqrt(0.6), -1.0 - math.sqrt(0.6)))
+        e0, u0 = p.theta_hat0 - p.theta_star, p.u0
+        ts = np.linspace(0.0, p.t_end, 400)
+        avg = ((l2 * e0 - u0) * np.exp(l1 * ts) - (l1 * e0 - u0) * np.exp(l2 * ts)) \
+            / (l2 - l1)
+        gap = float(np.max(np.abs(np.interp(ts, tr.times, tr.theta_hat)
+                                  - p.theta_star - avg)))
+        # each gap within a factor 1.5 of the measured one
+        assert measured / 1.5 <= gap <= 1.5 * measured, (omega, gap)
+        gaps.append(gap)
+    slope = np.polyfit(np.log(1.0 / np.array(omegas)), np.log(gaps), 1)[0]
+    assert 0.7 <= slope <= 1.3
 
 
 def test_tail_metrics_requires_samples():

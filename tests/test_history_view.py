@@ -1,8 +1,9 @@
 """The Picard solver's absolute-time history view against segment().
 
 The view reads x(t + clip(theta, -depth, 0)) straight from a trajectory's
-arrays; segment() materialises the same history as a RegulatedFn.  They must
-agree wherever the read is not decided by rounding at a discontinuity.
+arrays, here through one-row batches; segment() materialises the same
+history as a RegulatedFn.  They must agree wherever the read is not decided
+by rounding at a discontinuity.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import trajectory_value_at
+from _oracles import history, trajectory_value_at
 from measurefde.mfde import (MfdeProblem, ProblemBounds, Trajectory,
                              _HistoryView, solve_picard)
 from measurefde.phase_space import HistoryRangeError, RegulatedFn, segment
@@ -62,12 +63,9 @@ def test_view_matches_segment(seed, dim, n_jumps, depth, below_t0):
                              x.mesh - t, [0.0]])
     tau = t + np.clip(thetas, -np.inf if depth is None else -depth, 0.0)
     far = np.abs(tau[:, None] - discontinuities(x)[None, :]).min(axis=1) > SIDE_GAP
-    view = _HistoryView(x, t, depth).eval(thetas)
+    view = history(x, t, depth).eval(thetas)
     ref = segment(x, t, depth).eval(thetas)
     assert np.max(np.abs(view - ref)[far], initial=0.0) <= 1e-11
-    # one float read at a time gives the same bits as the array read
-    singles = np.stack([_HistoryView(x, t, depth).eval(float(th)) for th in thetas])
-    assert np.array_equal(singles, view)
 
 
 def test_view_reads_left_value_at_jump_and_post_value_after():
@@ -76,22 +74,22 @@ def test_view_reads_left_value_at_jump_and_post_value_after():
     vals = np.array([[0.0], [0.5], [1.0]])
     post = np.array([[0.0], [3.0], [1.0]])      # jump of 2.5 right after t = 0.5
     x = Trajectory(mesh, vals, post, phi0, 0.0)
-    view = _HistoryView(x, 1.0, None)
+    view = history(x, 1.0)
     assert view(-0.5) == 0.5
     assert view(-0.5 + 1e-9) == pytest.approx(3.0, abs=1e-8)
     # a node within the 1e-12 mesh-hit tolerance, on either side, is a hit
     assert x.value_at(0.5 + 5e-13)[0] == 0.5
     assert x.value_at(0.5 - 5e-13)[0] == 0.5
-    assert _HistoryView(x, 0.5, None)(0.0) == 0.5
+    assert history(x, 0.5)(0.0) == 0.5
     # theta > 0 never reads the future
-    assert _HistoryView(x, 0.75, None)(0.2) == view(-0.25) == 2.0
+    assert history(x, 0.75)(0.2) == view(-0.25) == 2.0
 
 
 def test_view_does_not_alias_trajectory_storage():
     rng = np.random.default_rng(3)
     x = random_trajectory(rng, 2, 2)
     t = float(x.mesh[5])
-    view = _HistoryView(x, t, None)
+    view = _HistoryView(x, np.array([t]), None)
     for theta in (0.0, np.array([0.0]), x.mesh[2:6] - t):
         out = view.eval(theta)
         assert not np.shares_memory(out, x.values)
@@ -112,12 +110,12 @@ def test_view_range_errors():
     rng = np.random.default_rng(4)
     x = random_trajectory(rng, 1, 0)
     ws = x.initial_history.window_start
-    _HistoryView(x, float(x.mesh[-1]) + 5e-10, None)
-    _HistoryView(x, x.t0 + ws, None)
+    history(x, float(x.mesh[-1]) + 5e-10)
+    history(x, x.t0 + ws)
     with pytest.raises(HistoryRangeError):
-        _HistoryView(x, float(x.mesh[-1]) + 1e-8, None)
+        history(x, float(x.mesh[-1]) + 1e-8)
     with pytest.raises(HistoryRangeError):
-        _HistoryView(x, x.t0 + ws - 1e-9, None)
+        history(x, x.t0 + ws - 1e-9)
 
 
 def test_solve_with_delay_below_history_window_raises():

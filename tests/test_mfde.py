@@ -6,6 +6,7 @@ import pytest
 from scipy.special import erfc
 
 from _oracles import check_bounds, march_heun
+from measurefde.averaging import linear_periodic_problem
 from measurefde.mfde import (ConvergenceError, HypothesisViolationError,
                              MfdeProblem, ProblemBounds, delayed_time_series,
                              gamma_apply, initial_trajectory, build_mesh,
@@ -80,6 +81,28 @@ def test_solve_method_of_steps():
                     tol=1e-11, history_depth=3.0)
     x, _, _ = solve_picard(p, step=0.02)
     assert np.max(np.abs(x.values[:, 0] - (1.0 + x.mesh))) < 1e-12
+
+
+@pytest.mark.parametrize("depth", [-1.0, 0.0, math.nan, math.inf])
+def test_history_depth_is_none_or_finite_and_positive(depth):
+    # x'(t) = -x(t - 0.5) with unit history gives x(1) = 0.125.  A depth of
+    # -1 or 0 clipped every read to x(t) and returned the delay-free
+    # e^-1 = 0.3679 without an error; nan ended in a ConvergenceError
+    # with delta = nan
+    phi = RegulatedFn.constant(1.0, window_start=-1.0)
+    p = MfdeProblem(f=lambda t, psi: -psi(-0.5), rho_delay=lambda t, psi: t,
+                    g=Integrator.identity(), phi0=phi, t0=0.0, sigma=1.0,
+                    bounds=ProblemBounds(lambda s: 1.0, lambda s: 1.0,
+                                         lambda s: 0.0, lambda s: 0.0),
+                    history_depth=1.0)
+    x, _, _ = solve_picard(p, step=0.01)
+    assert abs(x.values[-1, 0] - 0.125) <= 1e-12
+    assert solve_picard(replace(p, history_depth=None), step=0.01)[0].values[-1, 0] \
+        == x.values[-1, 0]
+    with pytest.raises(ValueError, match="history_depth"):
+        replace(p, history_depth=depth)
+    with pytest.raises(ValueError, match="history_depth"):
+        replace(linear_periodic_problem(), history_depth=depth)
 
 
 def test_impulse_consistency_exact():
@@ -213,7 +236,7 @@ def test_vector_valued_problem():
                                np.array([[1.0, 2.0], [1.0, 2.0]]),
                                tail_value=np.zeros(2))
     rotate = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    p = MfdeProblem(f=lambda t, psi: rotate @ np.atleast_1d(psi.eval(0.0)),
+    p = MfdeProblem(f=lambda t, psi: psi.eval(0.0) @ rotate.T,
                     rho_delay=lambda t, psi: t, g=Integrator.identity(),
                     phi0=phi, t0=0.0, sigma=1.0,
                     bounds=ProblemBounds(lambda s: 3.0, lambda s: 1.0,
@@ -385,7 +408,7 @@ def test_difference_equation_matches_direct_recursion():
         return -0.4 * psi(0.0) + 0.25 * psi(-1.0)
 
     def rho(s, psi):
-        return s - (0.3 + 0.2 * math.tanh(psi(0.0)) ** 2)
+        return s - (0.3 + 0.2 * np.tanh(psi(0.0)) ** 2)
 
     p = MfdeProblem(f=f, rho_delay=rho,
                     g=Integrator.pure_jumps([(tau, 1.0) for tau in taus]),

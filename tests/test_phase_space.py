@@ -203,7 +203,7 @@ def test_segment_depth_cut_on_t0_freezes_x_at_t0():
     phi0 = RegulatedFn.constant(1.0, window_start=-1.0, tail_value=0.0)
     traj = make_traj([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], phi0)
     hist = segment(traj, 1.0, 1.0)
-    assert hist(-2.0) == 1.0 == _HistoryView(traj, 1.0, 1.0)(-2.0)
+    assert hist(-2.0) == 1.0 == _HistoryView(traj, np.array([1.0]), 1.0)(-2.0)[0]
     assert hist(-0.5) == pytest.approx(1.5, abs=1e-15)
 
 
