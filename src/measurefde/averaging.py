@@ -79,6 +79,12 @@ class AvgProblem:
 # -- random test data for the sampled checks ---------------------------------
 
 
+def _sample_depth(p: AvgProblem) -> float:
+    """The window [-depth, 0] of the sampled checks' random histories:
+    history_depth, or phi0's window when that is None."""
+    return -p.phi0.window_start if p.history_depth is None else p.history_depth
+
+
 def _random_history(rng: np.random.Generator, dim: int, depth: float) -> RegulatedFn:
     n = int(rng.integers(8, 24))
     thetas = np.sort(rng.uniform(-depth, 0.0, n - 2))
@@ -126,7 +132,7 @@ def check_problem(p: AvgProblem, n_samples: int = 12,
     worst_delay = 0.0
     for _ in range(n_samples):
         t = float(rng.uniform(0.0, 3.0 * p.T))
-        psi = _random_history(rng, p.phi0.dim, p.history_depth)
+        psi = _random_history(rng, p.phi0.dim, _sample_depth(p))
         fv = np.asarray(p.f(t, psi), dtype=float)
         fvT = np.asarray(p.f(t + p.T, psi), dtype=float)
         worst_per = max(worst_per, float(np.max(np.abs(fv - fvT))))
@@ -331,8 +337,8 @@ def estimate_constants(p: AvgProblem, n_samples: int = 40, seed: int = 0) -> dic
     for _ in range(n_samples):
         t = float(rng.uniform(0.0, p.T))
         eps = float(rng.uniform(1e-3, p.eps0))
-        psi = _random_history(rng, p.phi0.dim, p.history_depth)
-        chi = _random_history(rng, p.phi0.dim, p.history_depth)
+        psi = _random_history(rng, p.phi0.dim, _sample_depth(p))
+        chi = _random_history(rng, p.phi0.dim, _sample_depth(p))
         M = max(M, float(np.linalg.norm(np.asarray(p.f(t, psi), float))))
         gap = history_gap_norm(psi, chi, p.weight)
         if gap > 1e-9:

@@ -2,10 +2,12 @@
 
 Configuration uses flat key = value files with [subcommand] section headers
 and # comments; explicit command-line flags override file values, which
-override built-in defaults.  Every run writes a summary that is itself a
-valid config file, so feeding a summary back with --config reproduces the
-run bit for bit.  Exit codes: 0 success, 1 numerical failure (partial
-outputs flushed), 2 usage error (nothing written).
+override the preset (es --preset table1), which overrides built-in defaults.
+Every key is a --key flag with _ written as -, and the merged values meet
+one set of checks wherever they came from.  Every run writes a summary that
+is itself a valid config file, so feeding a summary back with --config
+reproduces the run bit for bit.  Exit codes: 0 success, 1 numerical failure
+(partial outputs flushed), 2 usage error (nothing written).
 """
 
 from __future__ import annotations
@@ -50,6 +52,25 @@ DEFAULTS = {
 }
 _COMMON = {"seed": 0}
 
+# the allowed values of the keys that take one of a fixed set
+CHOICES = {"f": EXPRESSIONS, "density": EXPRESSIONS, "example": ("tanh",),
+           "case": ("linear", "sine"), "preset": ("", "table1"),
+           "predictor": ("on", "off")}
+
+_COMMANDS = {"integrate": "Stieltjes integral with oracle ladder",
+             "mfde": "solve the delay integral equation",
+             "avg": "periodic averaging comparison",
+             "es": "extremum-seeking simulation"}
+_HELP = {"f": "integrand expression id",
+         "density": "integrator density expression id",
+         "jumps": "jump list t1:m1,t2:m2,...", "case": "linear | sine",
+         "eps": "comma separated epsilon list", "delay": "sin5sq | const:<d>",
+         "config": "key = value config file"}
+
+# es keys that set the EsParams field of the same name, but k sets k_gain
+_ES_FIELDS = {key: "k_gain" if key == "k" else key for key in DEFAULTS["es"]
+              if key == "k" or key in esc.EsParams.__dataclass_fields__}
+
 
 @dataclass
 class RunConfig:
@@ -57,7 +78,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     out: str = ""
     seed: int = 0
-    explicit: frozenset = frozenset()   # keys set on the CLI or in a config file
 
 
 class UsageError(ValueError):
@@ -101,62 +121,17 @@ def _parse_eps(text: str) -> list[float]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One --key flag per key of a subcommand, with _ written as -."""
     ap = argparse.ArgumentParser(
         prog="measurefde",
         description="Stieltjes integration, delay equation solving, periodic "
                     "averaging checks and extremum-seeking simulation")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    p_int = sub.add_parser("integrate", help="Stieltjes integral with oracle ladder")
-    p_int.add_argument("--f", dest="f", help="integrand expression id")
-    p_int.add_argument("--density", help="integrator density expression id")
-    p_int.add_argument("--jumps", help="jump list t1:m1,t2:m2,...")
-    p_int.add_argument("--from", dest="from")
-    p_int.add_argument("--to", dest="to")
-    p_int.add_argument("--mesh")
-    p_int.add_argument("--levels")
-
-    p_m = sub.add_parser("mfde", help="solve the delay integral equation")
-    p_m.add_argument("--example", choices=["tanh"])
-    p_m.add_argument("--t0")
-    p_m.add_argument("--sigma")
-    p_m.add_argument("--step")
-    p_m.add_argument("--tol")
-    p_m.add_argument("--jumps", help="impulse list t1:m1,t2:m2,...")
-    p_m.add_argument("--out")
-
-    p_a = sub.add_parser("avg", help="periodic averaging comparison")
-    p_a.add_argument("--case", help="linear | sine")
-    p_a.add_argument("--eps", help="comma separated epsilon list")
-    p_a.add_argument("--L")
-    p_a.add_argument("--a0")
-    p_a.add_argument("--b0")
-    p_a.add_argument("--phi0")
-    p_a.add_argument("--eps0")
-    p_a.add_argument("--out")
-
-    p_e = sub.add_parser("es", help="extremum-seeking simulation")
-    p_e.add_argument("--preset", choices=["table1"])
-    p_e.add_argument("--k")
-    p_e.add_argument("--c")
-    p_e.add_argument("--a")
-    p_e.add_argument("--omega")
-    p_e.add_argument("--theta-star", dest="theta_star")
-    p_e.add_argument("--y-star", dest="y_star")
-    p_e.add_argument("--hessian")
-    p_e.add_argument("--delay", help="sin5sq | const:<d>")
-    p_e.add_argument("--predictor", choices=["on", "off"])
-    p_e.add_argument("--dt")
-    p_e.add_argument("--t-end", dest="t_end")
-    p_e.add_argument("--pde-grid", dest="pde_grid")
-    p_e.add_argument("--theta-hat0", dest="theta_hat0")
-    p_e.add_argument("--washout")
-    p_e.add_argument("--tail-start", dest="tail_start")
-    p_e.add_argument("--out")
-
-    for p in (p_int, p_m, p_a, p_e):
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed")
+    for name, help_text in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in [*DEFAULTS[name], *_COMMON, "config"]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=_HELP.get(key))
     return ap
 
 
@@ -177,35 +152,42 @@ def _load_config_file(path: str, subcommand: str) -> dict:
     return out
 
 
+def _table1_layer() -> dict:
+    """The Table-1 block as es keys, a layer of defaults for --preset table1."""
+    p = esc.table1_params()
+    return {key: getattr(p, name) for key, name in _ES_FIELDS.items()}
+
+
 def parse_args(argv) -> RunConfig:
-    """Resolve CLI flags over config-file values over defaults."""
-    ap = _build_parser()
-    ns = ap.parse_args(argv)
+    """Resolve CLI flags over config-file values over the preset over
+    defaults, then check every value against its default's type and the
+    allowed values."""
+    ns = _build_parser().parse_args(argv)
     subcommand = ns.subcommand
-    cli_vals = {k: v for k, v in vars(ns).items()
-                if k not in ("subcommand", "config") and v is not None}
-    merged = dict(DEFAULTS[subcommand])
-    merged.update(_COMMON)
-    explicit = set(cli_vals)
+    given = {k: v for k, v in vars(ns).items()
+             if k not in ("subcommand", "config") and v is not None}
     if ns.config:
-        file_vals = _load_config_file(ns.config, subcommand)
-        merged.update(file_vals)
-        explicit |= set(file_vals)
-    merged.update(cli_vals)
-    # normalize numeric fields to their default types
-    for key, default in {**DEFAULTS[subcommand], **_COMMON}.items():
-        if isinstance(default, (int, float)) and not isinstance(default, bool):
+        given = {**_load_config_file(ns.config, subcommand), **given}
+    defaults = {**DEFAULTS[subcommand], **_COMMON}
+    preset = _table1_layer() if given.get("preset") == "table1" else {}
+    merged = {**defaults, **preset, **given}
+    for key, value in merged.items():
+        if key in CHOICES and value not in CHOICES[key]:
+            raise UsageError(f"bad value {value!r} for {key!r}; "
+                             f"choose from {sorted(CHOICES[key])}")
+        default = defaults[key]
+        if isinstance(default, (int, float)):
             try:
-                val = float(merged[key])
+                val = float(value)
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"bad numeric value for {key!r}: "
-                                 f"{merged[key]!r}") from exc
-            merged[key] = int(val) if isinstance(default, int) \
-                and float(val).is_integer() else val
-    seed = int(merged.pop("seed", 0))
-    out = str(merged.pop("out", "")) if "out" in merged else ""
-    return RunConfig(subcommand=subcommand, params=merged, out=out, seed=seed,
-                     explicit=frozenset(explicit - {"seed", "out"}))
+                                 f"{value!r}") from exc
+            if isinstance(default, int) and not val.is_integer():
+                raise UsageError(f"{key!r} takes an integer, not {value!r}")
+            merged[key] = int(val) if isinstance(default, int) else val
+    seed = merged.pop("seed")
+    out = str(merged.pop("out", ""))
+    return RunConfig(subcommand=subcommand, params=merged, out=out, seed=seed)
 
 
 def _summary_text(cfg: RunConfig, results: dict) -> str:
@@ -248,22 +230,17 @@ def _write_csv(path: str, header: str, columns) -> None:
 
 def _run_integrate(cfg: RunConfig) -> int:
     prm = cfg.params
-    for key in ("f", "density"):
-        if prm[key] not in EXPRESSIONS:
-            raise UsageError(f"unknown expression {prm[key]!r}; "
-                             f"choose from {sorted(EXPRESSIONS)}")
-    f = EXPRESSIONS[prm["f"]]
-    a, b = float(prm["from"]), float(prm["to"])
+    a, b, panel, levels = prm["from"], prm["to"], prm["mesh"], prm["levels"]
     if not (math.isfinite(a) and math.isfinite(b)):
         raise UsageError("--from and --to must be finite")
     with _bad_arguments():
         g = Integrator(density=EXPRESSIONS[prm["density"]],
                        jumps=_parse_jumps(prm["jumps"]))
-        panel, levels = float(prm["mesh"]), int(prm["levels"])
         if not (math.isfinite(panel) and panel > 0):
             raise ValueError("mesh must be finite and positive")
         if levels <= 0:
             raise ValueError("levels must be positive")
+    f = EXPRESSIONS[prm["f"]]
     scalar_f = lambda s: float(np.asarray(f(s)))
     value = float(stieltjes.integrate(scalar_f, g, a, b, panel)[0])
     ladder = stieltjes.refine_ladder(scalar_f, g, a, b, levels)
@@ -277,14 +254,11 @@ def _run_integrate(cfg: RunConfig) -> int:
 
 def _run_mfde(cfg: RunConfig) -> int:
     prm = cfg.params
-    if prm["example"] != "tanh":
-        raise UsageError(f"unknown example {prm['example']!r}")
     with _bad_arguments():
-        problem = mfde.tanh_kernel_problem(sigma=float(prm["sigma"]),
-                                           t0=float(prm["t0"]),
-                                           tol=float(prm["tol"]),
-                                           jumps=_parse_jumps(str(prm["jumps"])))
-        step = float(prm["step"])
+        problem = mfde.tanh_kernel_problem(sigma=prm["sigma"], t0=prm["t0"],
+                                           tol=prm["tol"],
+                                           jumps=_parse_jumps(prm["jumps"]))
+        step = prm["step"]
         if not 0 < step < math.inf:
             raise ValueError("step must be finite and positive")
     traj, iters, delta = mfde.solve_picard(problem, step=step)
@@ -302,15 +276,11 @@ def _run_mfde(cfg: RunConfig) -> int:
 
 def _avg_problem(cfg: RunConfig) -> averaging.AvgProblem:
     prm = cfg.params
-    case = str(prm["case"])
-    if case == "linear":
-        return averaging.linear_periodic_problem(
-            a0=float(prm["a0"]), b0=float(prm["b0"]), phi_c=float(prm["phi0"]),
-            L=float(prm["L"]), eps0=float(prm["eps0"]))
-    if case == "sine":
-        return averaging.sine_problem(phi_c=float(prm["phi0"]),
-                                      L=float(prm["L"]), eps0=float(prm["eps0"]))
-    raise UsageError(f"unknown avg case {case!r}")
+    common = dict(phi_c=prm["phi0"], L=prm["L"], eps0=prm["eps0"])
+    if prm["case"] == "linear":
+        return averaging.linear_periodic_problem(a0=prm["a0"], b0=prm["b0"],
+                                                 **common)
+    return averaging.sine_problem(**common)
 
 
 def _run_avg(cfg: RunConfig) -> int:
@@ -339,48 +309,27 @@ def _run_avg(cfg: RunConfig) -> int:
 
 def _es_params(cfg: RunConfig) -> esc.EsParams:
     prm = cfg.params
-    delay_id = str(prm["delay"])
-    if delay_id == "sin5sq":
-        delay_fn, delay_grad = esc.sin5sq_delay, esc.sin5sq_delay_grad
-    elif delay_id.startswith("const:"):
-        d0 = float(delay_id.split(":", 1)[1])
-        if not 0 <= d0 < math.inf:
-            raise UsageError("constant delay must be finite and nonnegative")
-        delay_fn = esc.constant_delay(d0)
-        delay_grad = esc.constant_delay(0.0)
-    else:
-        raise UsageError(f"unknown delay {delay_id!r}")
-    if not math.isfinite(float(prm["tail_start"])):
+    delay_id = prm["delay"]
+    if not math.isfinite(prm["tail_start"]):
         raise UsageError("--tail-start must be finite")
-    key_map = {"k": "k_gain", "c": "c", "a": "a", "omega": "omega",
-               "theta_star": "theta_star", "y_star": "y_star",
-               "hessian": "hessian", "theta_hat0": "theta_hat0", "dt": "dt",
-               "t_end": "t_end", "washout": "washout"}
-    kw = {field: float(prm[flag]) for flag, field in key_map.items()}
-    kw.update(delay_fn=delay_fn, delay_grad=delay_grad,
-              predictor_on=str(prm["predictor"]) == "on")
     with _bad_arguments():
-        if str(prm["preset"]) == "table1":
-            # preset supplies the stock block; explicitly set keys override it
-            overrides = {key_map[f]: kw[key_map[f]] for f in key_map
-                         if f in cfg.explicit}
-            overrides["predictor_on"] = kw["predictor_on"]
-            if delay_id != DEFAULTS["es"]["delay"]:
-                overrides.update(delay_fn=delay_fn, delay_grad=delay_grad)
-            return esc.table1_params(**overrides)
-        return esc.EsParams(**kw)
+        if delay_id == "sin5sq":
+            delay_fn, delay_grad = esc.sin5sq_delay, esc.sin5sq_delay_grad
+        elif delay_id.startswith("const:"):
+            d0 = float(delay_id.split(":", 1)[1])
+            if not 0 <= d0 < math.inf:
+                raise ValueError("constant delay must be finite and nonnegative")
+            delay_fn = esc.constant_delay(d0)
+            delay_grad = esc.constant_delay(0.0)
+        else:
+            raise ValueError(f"unknown delay {delay_id!r}")
+        return esc.EsParams(**{name: prm[key] for key, name in _ES_FIELDS.items()},
+                            delay_fn=delay_fn, delay_grad=delay_grad,
+                            predictor_on=prm["predictor"] == "on")
 
 
 def _run_es(cfg: RunConfig) -> int:
     params = _es_params(cfg)
-    # pin the resolved values into the summary so feeding it back as a
-    # config reproduces this run exactly, preset or not
-    cfg.params.update(k=params.k_gain, c=params.c, a=params.a,
-                      omega=params.omega, theta_star=params.theta_star,
-                      y_star=params.y_star, hessian=params.hessian,
-                      theta_hat0=params.theta_hat0, dt=params.dt,
-                      t_end=params.t_end, washout=params.washout,
-                      predictor="on" if params.predictor_on else "off")
     code = 0
     try:
         trace = esc.simulate(params)
@@ -400,7 +349,7 @@ def _write_es_outputs(cfg: RunConfig, params: esc.EsParams,
                (trace.times, trace.theta, trace.theta_hat, trace.y, trace.G,
                 trace.H_hat, trace.U, trace.Gamma, trace.phi_t, trace.sigma_t,
                 trace.feas_margin))
-    n_x = int(cfg.params["pde_grid"])
+    n_x = cfg.params["pde_grid"]
     if n_x > 0 and len(trace.times) > 1:
         diag = esc.transport_diagnostic(params, trace, n_x=n_x)
         t_rep = np.repeat(diag.times, len(diag.x_grid))
@@ -410,7 +359,7 @@ def _write_es_outputs(cfg: RunConfig, params: esc.EsParams,
     results: dict = {"status": "feasibility-abort" if note else "completed"}
     if note:
         results["error"] = note
-    tail_start = float(cfg.params["tail_start"])
+    tail_start = cfg.params["tail_start"]
     if tail_start < 0:
         tail_start = 0.75 * params.t_end
     if len(trace.times) and trace.times[-1] > tail_start:
@@ -439,8 +388,6 @@ def run(cfg: RunConfig) -> int:
     """Execute a resolved config; numeric failures map to exit code 1."""
     try:
         return RUNNERS[cfg.subcommand](cfg)
-    except UsageError:
-        raise
     except (mfde.ConvergenceError, mfde.HypothesisViolationError,
             averaging.AvgConditionError, esc.AssumptionViolationError,
             stieltjes.IntegrandError, stieltjes.IntegratorDomainError) as exc:
@@ -450,17 +397,12 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
+        return run(parse_args(sys.argv[1:] if argv is None else argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
+    except SystemExit as exc:               # argparse: --help or a bad flag
         return int(exc.code or 0)
-    try:
-        return run(cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

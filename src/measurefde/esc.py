@@ -134,14 +134,10 @@ def table1_params(**overrides) -> EsParams:
     bounds the usable estimate error for this delay shape (the denominator
     1 - H_hat * grad D * U crosses zero once the estimate error reaches one
     unit or so), so the default sits inside that basin while still crossing
-    a substantial delay variation on its way to the maximizer.
+    a substantial delay variation on its way to the maximizer.  Every other
+    value is the EsParams default.
     """
-    defaults = dict(k_gain=0.2, c=2.0, a=0.2, omega=8.0, theta_star=8.0,
-                    y_star=64.0, hessian=-1.0, delay_fn=sin5sq_delay,
-                    delay_grad=sin5sq_delay_grad, theta_hat0=7.5,
-                    dt=1e-3, t_end=200.0, predictor_on=True)
-    defaults.update(overrides)
-    return EsParams(**defaults)
+    return EsParams(**{"theta_hat0": 7.5, **overrides})
 
 
 @dataclass

@@ -228,6 +228,15 @@ def test_check_problem_passes_on_corpus():
         assert all(ok for _, _, ok in results)
 
 
+def test_sampled_checks_draw_on_phi0_window_for_unbounded_depth():
+    # history_depth=None: random histories span phi0's window
+    p = replace(linear_periodic_problem(L=0.5), history_depth=None)
+    report = compare(p, [0.2, 0.1])
+    assert list(report.rows()) == list(compare(p, [0.2, 0.1], check=False).rows())
+    assert report.all_passed
+    assert all(v > 0 for v in estimate_constants(p, n_samples=4).values())
+
+
 def test_check_problem_rejects_aperiodic_f():
     p = replace(linear_periodic_problem(),
                 f=lambda s, psi: s * psi(0.0))

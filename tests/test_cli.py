@@ -75,6 +75,13 @@ def test_unknown_flag_is_usage_error():
     ["mfde", "--jumps", "0.5:nan", "--sigma", "1"],
     ["mfde", "--jumps", "0.5:inf", "--sigma", "1"],
     ["avg", "--eps", "0.1,0.1"],
+    ["integrate", "--levels", "2.5"],
+    ["integrate", "--levels", "0.5"],
+    ["es", "--pde-grid", "2.5", "--t-end", "1"],
+    ["es", "--seed", "1.5", "--t-end", "1"],
+    ["es", "--predictor", "maybe", "--t-end", "1"],
+    ["es", "--preset", "tablex", "--t-end", "1"],
+    ["es", "--delay", "const:abc", "--t-end", "1"],
 ], ids=" ".join)
 def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -180,6 +187,27 @@ def test_unknown_config_key_rejected(tmp_path, monkeypatch, capsys):
     code = main(["avg", "--config", "bad.cfg", "--out", "x"])
     assert code == 2
     assert not list(tmp_path.glob("x_*"))           # nothing written on exit 2
+
+
+@pytest.mark.parametrize("line", ["predictor = maybe", "preset = tablex"])
+def test_bad_config_value_is_usage_error(line, tmp_path, monkeypatch, capsys):
+    # config-file values meet the checks that flags meet
+    monkeypatch.chdir(tmp_path)
+    Path("bad.cfg").write_text(f"[es]\nt_end = 1\n{line}\n")
+    assert main(["es", "--config", "bad.cfg", "--out", "x"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error") and not out
+    assert not list(tmp_path.glob("x_*"))           # nothing written on exit 2
+
+
+def test_preset_is_a_layer_under_file_values_and_flags(tmp_path):
+    # the Table-1 block fills what neither the file nor a flag sets
+    cfg_path = tmp_path / "p.cfg"
+    cfg_path.write_text("[es]\npreset = table1\nomega = 16\ndt = 5e-4\n")
+    cfg = parse_args(["es", "--config", str(cfg_path), "--omega", "12"])
+    p = _es_params(cfg)
+    assert (p.omega, p.dt, p.theta_hat0, p.k_gain) == (12.0, 5e-4, 7.5, 0.2)
+    assert _es_params(parse_args(["es"])).theta_hat0 == 0.0
 
 
 def test_predictor_off_is_result_not_error(tmp_path, monkeypatch, capsys):
