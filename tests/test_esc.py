@@ -387,7 +387,8 @@ def test_transport_boundary_identities(table1_run):
 
 def averaged_gap(p, tr) -> float:
     """sup |theta_hat - theta* - theta_tilde| over 400 samples of [0, t_end],
-    theta_tilde the averaged system of the test below in closed form."""
+    theta_tilde the closed form of the averaged system derived in
+    test_es_approaches_its_averaged_system."""
     root = math.sqrt(p.c * p.c + 4.0 * p.c * p.k_gain * p.hessian)
     l1, l2 = (-p.c + root) / 2.0, (-p.c - root) / 2.0
     assert (l1, l2) == pytest.approx((-1.0 + math.sqrt(0.6), -1.0 - math.sqrt(0.6)))
@@ -442,9 +443,11 @@ def test_stock_delay_against_averaged_system():
     for on in (True, False):
         p = table1_params(omega=64.0, dt=6.25e-4, t_end=20.0, predictor_on=on)
         gaps[on] = averaged_gap(p, simulate(p))
-    # measured 1.83e-2 on and 0.513 off; each within a factor 1.5 of it
+    # measured 1.83e-2 on and 0.513 off; each within a factor 1.2 of it.
+    # The gap on moves little with the predictor integral Gamma (1.46e-2
+    # with Gamma halved), so the factor is tighter than the test above.
     for on, measured in ((True, 1.83e-2), (False, 0.513)):
-        assert measured / 1.5 <= gaps[on] <= 1.5 * measured, gaps
+        assert measured / 1.2 <= gaps[on] <= 1.2 * measured, gaps
     # measured contrast 28; pinned at 10 or more
     assert gaps[False] >= 10.0 * gaps[True], gaps
 
