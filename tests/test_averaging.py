@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -211,7 +212,7 @@ def test_random_extension_starts_from_phi0_at_zero():
     # the Gaussian steps start after the node at t0, so C2 and C3 are
     # sampled along an extension that does not jump right after t0
     p = linear_periodic_problem()
-    x = _random_extension(p, np.random.default_rng(0), 65)
+    x = _random_extension(p, random.Random(0), 65)
     phi_at_0 = p.phi0.value_at_zero()
     assert np.array_equal(x.values[0], phi_at_0)
     assert np.array_equal(x.value_at(0.0), phi_at_0)

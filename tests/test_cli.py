@@ -257,3 +257,20 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_paths_run_on_numpy_core(tmp_path):
+    # numpy.random (+6 MB resident) and numpy.ma (+1.6 MB) stay unloaded on
+    # every subcommand: the sampled averaging checks draw from random.Random
+    # and sorted unions go through stieltjes._union instead of np.unique
+    src = str(Path(measurefde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [["integrate"], ["mfde", "--example", "tanh", "--sigma", "0.5", "--step", "1e-2"],
+            ["avg", "--case", "linear", "--eps", "0.2,0.1", "--L", "0.5"],
+            ["es", "--preset", "table1", "--t-end", "5"]]   # plain es aborts at 5 s
+    code = (f"import sys\nfrom measurefde import cli\nfor argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    print([m for m in ('numpy.random', 'numpy.ma') if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True,
+                         capture_output=True, text=True).stdout
+    assert [line for line in out.splitlines() if line.startswith("[")] == ["[]"] * len(runs)

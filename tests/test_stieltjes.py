@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from measurefde.stieltjes import (Integrator, IntegrandError,
+from measurefde.stieltjes import (Integrator, IntegrandError, _union,
                                   check_gronwall, integrate, refine_ladder)
 
 IDENTITY = Integrator.identity()
@@ -338,3 +338,24 @@ def test_nonfinite_density_rejected():
         g.value_at(1.0)
     with pytest.raises(IntegratorDomainError):
         g.values_at(np.array([0.5, 1.0]))
+
+
+_UNION_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                          st.floats(allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_UNION_FLOATS, max_size=40), min_size=1, max_size=3))
+@example([[]])
+@example([[], []])
+@example([[-0.0]])
+@example([[0.0, -0.0, 0.0], [-0.0]])
+@example([np.linspace(0.0, 1.0, 9), []])
+def test_union_matches_numpy_bit_for_bit(parts):
+    # plain lists, empty ones included, as refine_ladder passes its jump times;
+    # ±0.0 and repeats check that the same member of each run of equals is kept
+    want = np.unique(np.concatenate(parts, axis=None))
+    got = _union(*parts)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if len(parts) == 2:
+        assert got.tobytes() == np.union1d(*parts).tobytes()
