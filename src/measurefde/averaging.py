@@ -22,6 +22,7 @@ from .mfde import (ConvergenceError, HypothesisViolationError, MfdeProblem,
 from .phase_space import UNIFORM_WEIGHT, HistoryRangeError, RegulatedFn, Weight
 from .stieltjes import (Integrator, IntegrandError, IntegratorDomainError,
                         _sample, _simpson_rule, _union)
+from .trajectory import _HistoryView
 
 
 class AvgConditionError(ValueError):
@@ -43,22 +44,23 @@ class AvgProblem:
     Lipschitz), M (sup bound for f and the perturbation), Kp (bound for the
     norm-growth envelope on the horizon).
 
-    The solves call f, rho_delay and g_pert as MfdeProblem calls its
-    right-hand sides, once per batch of times; check_problem and
-    estimate_constants call f and rho_delay at a float time on a RegulatedFn.
+    f, rho_delay and g_pert are called as MfdeProblem calls its right-hand
+    sides, with an array of times and a batch view of one history per time;
+    the solves pass whole batches, check_problem and estimate_constants
+    one-row ones.
     history_depth is None or finite and positive, as in MfdeProblem.
     """
 
-    f: Callable[[float, RegulatedFn], object]
+    f: Callable[[np.ndarray, _HistoryView], object]
     h: Integrator
-    rho_delay: Callable[[float, RegulatedFn, float], float]
+    rho_delay: Callable[[np.ndarray, _HistoryView, float], object]
     phi0: RegulatedFn
     T: float
     alpha: float
     L: float
     eps0: float
     consts: dict
-    g_pert: Callable[[float, RegulatedFn, float], object] | None = None
+    g_pert: Callable[[np.ndarray, _HistoryView, float], object] | None = None
     h_pert: Integrator | None = None     # distinct integrator for the eps^2 term
     weight: Weight = UNIFORM_WEIGHT
     history_depth: float = 1.0
@@ -94,10 +96,29 @@ def _gaussians(rng: random.Random, sd: float, rows: int, cols: int) -> np.ndarra
 
 def _random_history(rng: random.Random, dim: int, depth: float) -> RegulatedFn:
     n = rng.randrange(8, 24)
-    thetas = _union([-depth], [rng.uniform(-depth, 0.0) for _ in range(n - 2)], [0.0])
+    draws = [rng.uniform(-depth, 0.0) for _ in range(n - 2)]
+    thetas = np.array(sorted({-depth, 0.0, *draws}))
     vals = np.cumsum(_gaussians(rng, 1.0 / math.sqrt(len(thetas)), len(thetas), dim),
                      axis=0)
     return RegulatedFn.polyline(thetas, vals, tail_value=np.zeros(dim))
+
+
+def _one_row(psi: RegulatedFn, depth: float | None) -> _HistoryView:
+    """psi as the solver hands a history to f and rho_delay: a one-row batch
+    view, at t0 = 0, of a trajectory that starts from psi."""
+    vals = np.tile(psi.value_at_zero(), (2, 1))
+    x = Trajectory(np.array([0.0, 1.0]), vals, vals.copy(), psi, 0.0)
+    return _HistoryView(x, np.zeros(1), depth)
+
+
+def _f_at(p: AvgProblem, t: float, view: _HistoryView) -> np.ndarray:
+    """f at the one time t on a one-row view: its row."""
+    return _rows(p.f, np.array([t]), view)[0]
+
+
+def _delay_at(p: AvgProblem, t: float, view: _HistoryView, eps: float) -> float:
+    """rho_delay at the one time t on a one-row view."""
+    return float(_rows(lambda s, v: p.rho_delay(s, v, eps), np.array([t]), view)[0, 0])
 
 
 def _random_extension(p: AvgProblem, rng: random.Random, n: int) -> Trajectory:
@@ -137,15 +158,15 @@ def check_problem(p: AvgProblem, n_samples: int = 12,
     worst_delay = 0.0
     for _ in range(n_samples):
         t = rng.uniform(0.0, 3.0 * p.T)
-        psi = _random_history(rng, p.phi0.dim, _sample_depth(p))
-        fv = np.asarray(p.f(t, psi), dtype=float)
-        fvT = np.asarray(p.f(t + p.T, psi), dtype=float)
+        psi = _one_row(_random_history(rng, p.phi0.dim, _sample_depth(p)),
+                       p.history_depth)
+        fv = _f_at(p, t, psi)
+        fvT = _f_at(p, t + p.T, psi)
         worst_per = max(worst_per, float(np.max(np.abs(fv - fvT))))
         worst_shift = max(worst_shift, abs(p.h.value_at(t + p.T) - p.h.value_at(t)
                                            - p.alpha))
         eps = rng.uniform(1e-3, p.eps0)
-        r = float(p.rho_delay(t, psi, eps))
-        worst_delay = max(worst_delay, r - t)
+        worst_delay = max(worst_delay, _delay_at(p, t, psi, eps) - t)
     results.append(("f periodicity", worst_per, worst_per <= 1e-8))
     results.append(("h period increment", worst_shift, worst_shift <= 1e-10))
     results.append(("delay below current time", worst_delay, worst_delay <= 1e-12))
@@ -161,9 +182,9 @@ def check_problem(p: AvgProblem, n_samples: int = 12,
             a, b = sorted(rng.uniform(0.0, float(x.mesh[-1])) for _ in range(2))
             if b - a < 1e-6:
                 continue
-            xa = phase_space.segment(x, a, p.history_depth)
-            xb = phase_space.segment(x, b, p.history_depth)
-            gap = abs(p.rho_delay(t, xa, eps) - p.rho_delay(t, xb, eps))
+            xa = _one_row(phase_space.segment(x, a, p.history_depth), p.history_depth)
+            xb = _one_row(phase_space.segment(x, b, p.history_depth), p.history_depth)
+            gap = abs(_delay_at(p, t, xa, eps) - _delay_at(p, t, xb, eps))
             worst_ratio = max(worst_ratio, gap / (eps * c3 * (b - a)))
         results.append(("delay shift ratio vs eps*C3 (report only)", worst_ratio,
                         worst_ratio <= 1.0 + 1e-9))
@@ -283,10 +304,17 @@ def _require_eps(p: AvgProblem, eps: float):
 
 @dataclass
 class AvgReport:
+    """What compare measured per eps, and the fitted eps-order.
+
+    slope is the closed-form least-squares slope of log sup error on log eps
+    over the solved eps whose error is above 1e-12, nan when fewer than two
+    distinct eps remain.
+    """
+
     eps_list: list[float]
     measured_errors: list[float]
     theoretical_J: float
-    slope: float                    # nan when the fit is degenerate
+    slope: float
     passes: list[bool]
     failures: dict = field(default_factory=dict)
     estimate_based: bool = False
@@ -298,6 +326,15 @@ class AvgReport:
     def rows(self):
         for eps, err, ok in zip(self.eps_list, self.measured_errors, self.passes):
             yield eps, err, self.theoretical_J * eps, ok, self.slope
+
+
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of a line through the points (x_i, y_i), at least
+    two distinct x: sum (x - mean x)(y - mean y) / sum (x - mean x)^2.  The
+    closed form needs no LAPACK, which np.polyfit would page in for a few
+    flops."""
+    dx = x - x.mean()
+    return float((dx * (y - y.mean())).sum() / (dx * dx).sum())
 
 
 def sup_difference(x: Trajectory, y: Trajectory) -> float:
@@ -345,24 +382,24 @@ def estimate_constants(p: AvgProblem, n_samples: int = 40, seed: int = 0) -> dic
         eps = rng.uniform(1e-3, p.eps0)
         psi = _random_history(rng, p.phi0.dim, _sample_depth(p))
         chi = _random_history(rng, p.phi0.dim, _sample_depth(p))
-        f_psi = np.asarray(p.f(t, psi), float)
+        vpsi, vchi = _one_row(psi, p.history_depth), _one_row(chi, p.history_depth)
+        f_psi = _f_at(p, t, vpsi)
         M = max(M, float(np.linalg.norm(f_psi)))
         gap = history_gap_norm(psi, chi, p.weight)
         if gap > 1e-9:
-            dC = np.linalg.norm(f_psi - np.asarray(p.f(t, chi), float)) / gap
+            dC = np.linalg.norm(f_psi - _f_at(p, t, vchi)) / gap
             C = max(C, float(dC))
-            dr = abs(p.rho_delay(t, psi, eps) - p.rho_delay(t, chi, eps)) / gap
-            C4 = max(C4, float(dr))
+            dr = abs(_delay_at(p, t, vpsi, eps) - _delay_at(p, t, vchi, eps)) / gap
+            C4 = max(C4, dr)
         a, b = sorted(rng.uniform(0.0, float(x.mesh[-1])) for _ in range(2))
         if b - a > 1e-6:
-            xa = phase_space.segment(x, a, p.history_depth)
-            xb = phase_space.segment(x, b, p.history_depth)
-            dC2 = np.linalg.norm(np.asarray(p.f(t, xa), float)
-                                 - np.asarray(p.f(t, xb), float)) / (b - a)
+            xa = _one_row(phase_space.segment(x, a, p.history_depth), p.history_depth)
+            xb = _one_row(phase_space.segment(x, b, p.history_depth), p.history_depth)
+            dC2 = np.linalg.norm(_f_at(p, t, xa) - _f_at(p, t, xb)) / (b - a)
             C2 = max(C2, float(dC2))
-            d3 = abs(p.rho_delay(t, xa, eps) - p.rho_delay(t, xb, eps)) \
+            d3 = abs(_delay_at(p, t, xa, eps) - _delay_at(p, t, xb, eps)) \
                 / (eps * (b - a))
-            C3 = max(C3, float(d3))
+            C3 = max(C3, d3)
     return {"M": M * 1.5 + 1e-6, "C": C * 1.5 + 1e-6, "C2": C2 * 1.5 + 1e-6,
             "C3": C3 * 1.5 + 1e-6, "C4": C4 * 1.5 + 1e-6,
             "Kp": p.weight.shift_growth(1.0) if p.weight.kind == "exp_pos" else 1.0}
@@ -447,9 +484,7 @@ def compare(p: AvgProblem, eps_list: Sequence[float],
                if not math.isnan(err) and err > 1e-12]
     # a line through fewer than two distinct eps is not determined
     if len({eps for eps, _ in fit_pts}) >= 2:
-        le = np.log([e for e, _ in fit_pts])
-        lv = np.log([v for _, v in fit_pts])
-        slope = float(np.polyfit(le, lv, 1)[0])
+        slope = _slope(np.log([e for e, _ in fit_pts]), np.log([v for _, v in fit_pts]))
     else:
         slope = math.nan
     return AvgReport(eps_list, measured, J, slope, passes, failures, estimate_based)

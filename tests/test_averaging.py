@@ -4,10 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import averaged_rhs, per_row
-from measurefde.averaging import (AvgConditionError, _original_problem,
-                                  _random_extension,
+from measurefde import cli
+from measurefde.averaging import (AvgConditionError, _one_row, _original_problem,
+                                  _random_extension, _slope,
                                   check_problem, compare, error_constant,
                                   estimate_constants, linear_periodic_problem,
                                   make_averaged_rule, sine_problem,
@@ -16,17 +19,8 @@ from measurefde.averaging import (AvgConditionError, _original_problem,
 from measurefde.mfde import HypothesisViolationError, residual
 from measurefde.phase_space import RegulatedFn
 from measurefde.stieltjes import Integrator
-from measurefde.trajectory import Trajectory, _HistoryView
 
 UNIT_CONSTS = {k: 1.0 for k in ("C", "C2", "C3", "C4", "M", "Kp")}
-
-
-def one_row(psi):
-    """psi as a one-row batch view: the history at t0 = 0 of a trajectory
-    that starts from it."""
-    vals = np.tile(psi.value_at_zero(), (2, 1))
-    x = Trajectory(np.array([0.0, 1.0]), vals, vals.copy(), psi, 0.0)
-    return _HistoryView(x, np.array([0.0]), None)
 
 
 def test_averaged_rhs_time_independent():
@@ -51,7 +45,7 @@ def test_averaged_rule_matches_direct_quadrature():
     p = linear_periodic_problem()
     rule = make_averaged_rule(p, 64)
     psi = RegulatedFn.constant(1.7, window_start=-1.0)
-    assert float(rule(one_row(psi), 1)[0, 0]) == pytest.approx(
+    assert float(rule(_one_row(psi, None), 1)[0, 0]) == pytest.approx(
         float(averaged_rhs(p, psi)[0]), abs=1e-9)
 
 
@@ -64,7 +58,7 @@ def test_averaged_rule_with_jump_integrator():
     rule = make_averaged_rule(p, 64)
     psi = RegulatedFn.constant(1.0, window_start=-1.0)
     expected = (T + (1.0 + math.cos(T / 2.0)) * 1.0) / T
-    assert float(rule(one_row(psi), 1)[0, 0]) == pytest.approx(expected, abs=1e-9)
+    assert float(rule(_one_row(psi, None), 1)[0, 0]) == pytest.approx(expected, abs=1e-9)
 
 
 # -- solves -------------------------------------------------------------------------
@@ -238,6 +232,18 @@ def test_sampled_checks_draw_on_phi0_window_for_unbounded_depth():
     assert all(v > 0 for v in estimate_constants(p, n_samples=4).values())
 
 
+def test_sampled_checks_call_f_in_the_batch_convention():
+    # f written for the solver's batch convention alone: len(s) fails on a
+    # float time, so the sampled checks must pass arrays and batch views too
+    p = replace(linear_periodic_problem(L=0.5), f=lambda s, psi: np.full(len(s), 2.0))
+    report = compare(p, [0.2, 0.1])
+    assert list(report.rows()) == list(compare(p, [0.2, 0.1], check=False).rows())
+    assert max(report.measured_errors) < 1e-12 and report.all_passed
+    est = estimate_constants(p, n_samples=4)
+    assert est["M"] == pytest.approx(2.0 * 1.5 + 1e-6)
+    assert est["C"] == est["C2"] == 1e-6    # f ignores its history
+
+
 def test_check_problem_rejects_aperiodic_f():
     p = replace(linear_periodic_problem(),
                 f=lambda s, psi: s * psi(0.0))
@@ -266,8 +272,7 @@ def test_compare_degenerate_constant_case():
 
 def test_compare_repeated_eps_fits_no_slope():
     # the same eps twice is one point of the eps-order fit, which a line
-    # does not determine: nan, and no rank-deficient polyfit (whose
-    # RankWarning this suite turns into an error)
+    # does not determine: nan, and no 0 / 0 in the closed-form slope
     rep = compare(linear_periodic_problem(L=0.5), [0.1, 0.1])
     assert rep.measured_errors[0] == rep.measured_errors[1] > 1e-12
     assert math.isnan(rep.slope)
@@ -282,6 +287,41 @@ def test_compare_two_eps_order_one():
     for eps, err, bound, ok, _ in rep.rows():
         assert err <= bound
         assert ok
+
+
+distinct_xs = st.lists(st.integers(-1000, 1000), min_size=2, max_size=8, unique=True)
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(distinct_xs, st.data())
+def test_slope_matches_polyfit(xs, data):
+    x = np.array(xs) / 64.0
+    y = np.array(data.draw(st.lists(finite, min_size=len(xs), max_size=len(xs))))
+    # the slope's own scale, for fits whose slope cancels to about zero
+    scale = (np.abs(y).max() + 1.0) / np.ptp(x)
+    assert math.isclose(_slope(x, y), np.polyfit(x, y, 1)[0],
+                        rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(distinct_xs, finite, finite)
+def test_slope_recovers_exact_lines(xs, m, c):
+    x = np.array(xs) / 64.0
+    scale = abs(m) + (abs(c) + 1.0) / np.ptp(x)
+    assert math.isclose(_slope(x, m * x + c), m, rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+
+def test_avg_path_fits_its_slope_without_lapack(tmp_path, monkeypatch, capsys):
+    def lapack(*args, **kwargs):
+        raise AssertionError("the eps-order fit called a LAPACK least-squares solver")
+
+    monkeypatch.setattr(np, "polyfit", lapack)
+    monkeypatch.setattr(np.linalg, "lstsq", lapack)
+    rep = compare(linear_periodic_problem(L=0.5), [0.2, 0.1])
+    assert 0.7 <= rep.slope <= 1.3
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["avg", "--case", "linear", "--eps", "0.2,0.1", "--L", "0.5"]) == 0
 
 
 @pytest.mark.parametrize("p", [
