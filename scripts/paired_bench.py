@@ -2,13 +2,14 @@
 """Interleaved benchmark runs of two checkouts, parent against change.
 
     python3 scripts/paired_bench.py --parent DIR --change DIR --workload W \\
-        [--pairs 10] [--seconds 20] [--seed 0]
+        [--pairs 10] [--seed 0]
 
-Each pair runs `python3 perfbench/run.py --workload W --seed N --seconds S
---trace 0` once in each checkout, as a subprocess with the checkout as its
-working directory, one run at a time; the side that runs first alternates
-from pair to pair.  The end-to-end metrics and the direction in which each
-is better come from the parent's BENCHMARK.json.
+Each pair runs the benchmark command of the parent's BENCHMARK.json with
+`--workload W --seed N --seconds S --trace 0`, S its run_seconds, once in
+each checkout, as a subprocess with the checkout as its working directory,
+one run at a time; the side that runs first alternates from pair to pair.
+The end-to-end metrics and the direction in which each is better come from
+the same file.
 
 Prints one markdown row per metric: the median [Q1, Q3] of each side, the
 change/parent ratio of the medians, the number of pairs in which the change
@@ -81,10 +82,10 @@ def table(workload: str, rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def run_once(checkout: Path, args) -> dict | None:
+def run_once(checkout: Path, spec: dict, args) -> dict | None:
     """The end-to-end metrics of one benchmark run, or None if it failed."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    cmd = spec["command"] + ["--workload", args.workload, "--seed", str(args.seed),
+                             "--seconds", str(spec["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -105,19 +106,19 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), args))
+            runs[side].append(run_once(getattr(args, side), spec, args))
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
-    print(table(args.workload, summarize(metrics, runs["parent"], runs["change"])))
+    print(table(args.workload,
+                summarize(spec["end_to_end"], runs["parent"], runs["change"])))
     return 1 if None in runs["parent"] + runs["change"] else 0
 
 

@@ -96,8 +96,7 @@ def _gaussians(rng: random.Random, sd: float, rows: int, cols: int) -> np.ndarra
 
 def _random_history(rng: random.Random, dim: int, depth: float) -> RegulatedFn:
     n = rng.randrange(8, 24)
-    draws = [rng.uniform(-depth, 0.0) for _ in range(n - 2)]
-    thetas = np.array(sorted({-depth, 0.0, *draws}))
+    thetas = _union([-depth], [rng.uniform(-depth, 0.0) for _ in range(n - 2)], [0.0])
     vals = np.cumsum(_gaussians(rng, 1.0 / math.sqrt(len(thetas)), len(thetas), dim),
                      axis=0)
     return RegulatedFn.polyline(thetas, vals, tail_value=np.zeros(dim))

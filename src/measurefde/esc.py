@@ -43,32 +43,31 @@ class AssumptionViolationError(RuntimeError):
     """The delayed-time inversion could not bracket a solution."""
 
 
-# Each delay takes math's scalar path for a float, np.float64 included, so
-# the step loop's calls skip numpy's per-call overhead, and numpy's otherwise.
+def _backend(theta):
+    """(math, theta) for a float, np.float64 included, and (np, array) for
+    anything else: the loop's scalar calls skip numpy's per-call overhead."""
+    if isinstance(theta, float):
+        return math, theta
+    return np, np.asarray(theta, dtype=float)
 
 
 def sin5sq_delay(theta):
     """Half of sin(5 theta)^2, the stock state-dependent delay."""
-    if isinstance(theta, float):
-        s = math.sin(5.0 * theta)
-    else:
-        s = np.sin(5.0 * np.asarray(theta, dtype=float))
+    xp, th = _backend(theta)
+    s = xp.sin(5.0 * th)
     return 0.5 * s * s
 
 
 def sin5sq_delay_grad(theta):
-    if isinstance(theta, float):
-        return 5.0 * math.sin(5.0 * theta) * math.cos(5.0 * theta)
-    th = np.asarray(theta, dtype=float)
-    return 5.0 * np.sin(5.0 * th) * np.cos(5.0 * th)
+    xp, th = _backend(theta)
+    return 5.0 * xp.sin(5.0 * th) * xp.cos(5.0 * th)
 
 
 def constant_delay(d0: float):
     """D(theta) = d0: a float for a float theta, else an array of its shape."""
     def fn(theta):
-        if isinstance(theta, float):
-            return d0
-        return np.full(np.shape(theta), d0)
+        xp, th = _backend(theta)
+        return d0 if xp is math else np.full(th.shape, d0)
     return fn
 
 

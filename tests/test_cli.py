@@ -262,8 +262,7 @@ def test_cli_import_does_not_load_scipy():
 def test_cli_paths_run_on_numpy_core(tmp_path):
     # numpy.random (+6 MB resident) and numpy.ma (+1.6 MB) stay unloaded on
     # every subcommand: the sampled averaging checks draw from random.Random
-    # and sort in Python, and sorted unions go through stieltjes._union
-    # instead of np.unique
+    # and sorted unions go through stieltjes._union instead of np.unique
     src = str(Path(measurefde.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     runs = [["integrate"], ["mfde", "--example", "tanh", "--sigma", "0.5", "--step", "1e-2"],
