@@ -13,8 +13,19 @@ the same file.
 
 Prints one markdown row per metric: the median [Q1, Q3] of each side, the
 change/parent ratio of the medians, the number of pairs in which the change
-reads better (ties count for neither side), and the number of runs that
-failed on either side.  Exits 1 if any run failed.
+reads better (ties count for neither side), the number of runs that failed
+on either side, and a verdict from the metric's bound, the first that holds
+of:
+
+  gain           better in >= 9/10 of the pairs, and the medians differ by
+                 more than the parent's interquartile range (IQR)
+  regression     the change's median worse than the parent's by more than
+                 bound * the parent's median
+  unresolved     the parent's IQR above bound * its median, and not every
+                 change run better than every parent run
+  no regression  otherwise
+
+Exits 1 if any run failed.
 """
 
 from __future__ import annotations
@@ -33,6 +44,21 @@ def _quartiles(xs: list[float]) -> tuple[float, float, float]:
         return xs[0], xs[0], xs[0]
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
+
+
+def _verdict(bound: float, lower: bool, better: int, pairs: int,
+             p_vals: list[float], c_vals: list[float]) -> str:
+    """The reading of one metric, as listed in the module docstring."""
+    (p1, p_med, p3), c_med = _quartiles(p_vals), _quartiles(c_vals)[1]
+    gain = p_med - c_med if lower else c_med - p_med
+    if pairs and better >= 0.9 * pairs and gain > p3 - p1:
+        return "gain"
+    if -gain > bound * abs(p_med):
+        return "regression"
+    beats_all = max(c_vals) < min(p_vals) if lower else min(c_vals) > max(p_vals)
+    if p3 - p1 > bound * abs(p_med) and not beats_all:
+        return "unresolved"
+    return "no regression"
 
 
 def summarize(metrics: list[dict], parent: list[dict | None],
@@ -54,10 +80,12 @@ def summarize(metrics: list[dict], parent: list[dict | None],
         better = sum((c < p) if lower else (c > p) for p, c in pairs)
         row = {"metric": name, "unit": m["unit"], "pairs": len(pairs),
                "better": better, "failed": failed, "parent": None,
-               "change": None, "ratio": None}
+               "change": None, "ratio": None, "verdict": None}
         if p_vals and c_vals:
             row["parent"], row["change"] = _quartiles(p_vals), _quartiles(c_vals)
             row["ratio"] = row["change"][1] / row["parent"][1]
+            row["verdict"] = _verdict(m["bound"], lower, better, len(pairs),
+                                      p_vals, c_vals)
         rows.append(row)
     return rows
 
@@ -72,13 +100,14 @@ def _fmt(q, unit: str) -> str:
 
 def table(workload: str, rows: list[dict]) -> str:
     lines = ["| workload | metric | parent | change | change/parent "
-             "| change better in | failed |",
-             "|---|---|---|---|---|---|---|"]
+             "| change better in | failed | verdict |",
+             "|---|---|---|---|---|---|---|---|"]
     for r in rows:
         ratio = "-" if r["ratio"] is None else f"{100.0 * (r['ratio'] - 1.0):+.1f} %"
         lines.append(f"| {workload} | {r['metric']} | {_fmt(r['parent'], r['unit'])} "
                      f"| {_fmt(r['change'], r['unit'])} | {ratio} "
-                     f"| {r['better']}/{r['pairs']} | {r['failed']} |")
+                     f"| {r['better']}/{r['pairs']} | {r['failed']} "
+                     f"| {r['verdict'] or '-'} |")
     return "\n".join(lines)
 
 

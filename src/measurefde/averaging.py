@@ -68,8 +68,8 @@ class AvgProblem:
     max_iters: int = 100
 
     def __post_init__(self):
-        if not all(v > 0 for v in (self.T, self.alpha, self.L, self.eps0)):
-            raise ValueError("T, alpha, L, eps0 must all be positive")
+        if not all(0 < v < math.inf for v in (self.T, self.alpha, self.L, self.eps0)):
+            raise ValueError("T, alpha, L, eps0 must all be finite and positive")
         _check_depth(self.history_depth)
 
     def const(self, name: str) -> float:
@@ -414,6 +414,8 @@ def linear_periodic_problem(a0: float = 1.0, b0: float = 1.0, phi_c: float = 1.0
     set of those solutions (f itself is linear, hence unbounded over the
     whole history space).
     """
+    if not all(math.isfinite(v) for v in (a0, b0, phi_c)):
+        raise ValueError("a0, b0 and phi_c must be finite")
     reach = abs(phi_c) * math.exp(abs(a0) * L + eps0 * abs(b0))
     lip_traj = eps0 * (abs(a0) + abs(b0)) * reach
     consts = {

@@ -113,6 +113,8 @@ class EsParams:
             raise ValueError("hessian must be negative (maximum seeking)")
         if self.a == 0:
             raise ValueError("probe amplitude must be nonzero")
+        if not self.omega > 0:
+            raise ValueError("omega must be positive")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not 0 <= self.t_end < math.inf:
@@ -196,8 +198,9 @@ class SimState:
     recomputes them nor looks up EsParams attributes on every step.
     integrand, ctrap, cum_g and cum_h serve the loop only; simulate() drops
     them before the trace is assembled.  cum_g and cum_h are rings of
-    m_window + 1 running sums: entry i % (m_window + 1) holds the sum over
-    the first i samples, and the moving average reads only the last period.
+    r = min(m_window, n_steps + 2) + 1 running sums: entry i % r holds the
+    sum over the first i samples, and the moving average reads only the
+    last period.  A run shorter than a period never wraps its rings.
     """
 
     __slots__ = ("k", "n", "n_steps", "t", "theta_hat", "U", "y_bar",
@@ -223,8 +226,9 @@ class SimState:
                      "phi", "margin", "integrand", "ctrap"):
             setattr(self, name, array("d", bytes(8 * n1)))
         self.m_window = _period_steps(p)
-        self.cum_g = array("d", bytes(8 * (self.m_window + 1)))
-        self.cum_h = array("d", bytes(8 * (self.m_window + 1)))
+        ring = min(self.m_window, self.n_steps + 2) + 1
+        self.cum_g = array("d", bytes(8 * ring))
+        self.cum_h = array("d", bytes(8 * ring))
         self.aborted = False
         self.abort_reason = ""
 
@@ -281,8 +285,8 @@ def step(p: EsParams, state: SimState) -> SimState:
     g_raw = m_sig * y_w
     h_raw = n_sig * y_w
     cum_g, cum_h = state.cum_g, state.cum_h
-    m = state.m_window
-    now, new, old = n % (m + 1), (n + 1) % (m + 1), (n + 2) % (m + 1)
+    m, r = state.m_window, len(cum_g)
+    now, new, old = n % r, (n + 1) % r, (n + 2) % r
     cum_g[new] = cum_g[now] + g_raw
     cum_h[new] = cum_h[now] + h_raw
     if washout_on:

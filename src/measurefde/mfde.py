@@ -408,9 +408,11 @@ def _lag_rules(t: np.ndarray, max_h: float,
 
 
 class _TimeMemo:
-    """One float per time for up to MEMO_SIZE times, in two arrays sorted
-    by time, whose storage doubles when it fills.  No numpy sort runs: its
-    code alone would add 0.2 MB of resident memory to a solve."""
+    """One float per time for up to MEMO_SIZE times, kept in increasing
+    order in two arrays whose storage doubles when it fills.  A put keeps
+    only the times above the last kept one: the solver's windows advance
+    in time, and a time left out is computed afresh.  No numpy sort runs:
+    its code alone would add 0.2 MB of resident memory to a solve."""
 
     __slots__ = ("keys", "vals", "n")
 
@@ -427,9 +429,12 @@ class _TimeMemo:
         return self.vals[i], keys[i] != t
 
     def put(self, t: np.ndarray, vals: np.ndarray):
-        """Keep vals at the times t, none of them kept yet."""
-        fresh = sorted(dict(zip(t.tolist(), vals.tolist())).items())
-        n, m = self.n, len(fresh)
+        """Keep vals at those of the times t above the last kept time."""
+        n = self.n
+        top = float(self.keys[n - 1]) if n else -math.inf
+        fresh = sorted(kv for kv in dict(zip(t.tolist(), vals.tolist())).items()
+                       if kv[0] > top)
+        m = len(fresh)
         if not m or n + m > MEMO_SIZE:
             return
         if n + m > len(self.keys):
@@ -438,13 +443,7 @@ class _TimeMemo:
                 grown = np.empty(size)
                 grown[:n] = getattr(self, name)[:n]
                 setattr(self, name, grown)
-        t, vals = np.array([k for k, _ in fresh]), np.array([v for _, v in fresh])
-        keys, kept = self.keys[:n].copy(), self.vals[:n].copy()
-        # each time's place among the old and the new times together
-        at = keys.searchsorted(t) + np.arange(m)
-        old = t.searchsorted(keys) + np.arange(n)
-        self.keys[old], self.vals[old] = keys, kept
-        self.keys[at], self.vals[at] = t, vals
+        self.keys[n:n + m], self.vals[n:n + m] = zip(*fresh)
         self.n = n + m
 
 
@@ -479,10 +478,6 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
                                 tail_value=0.0)
     head = int(np.count_nonzero((t0 + sigma) + nodes <= t0))
     lags, heads = _TimeMemo(), _TimeMemo()
-    # the times, shifted lag nodes and weights of the last rows rho
-    # computed: a window's first rows recur on every sweep.  Never written
-    # in place.
-    last = [np.empty(0), None, None]
 
     def own(psi) -> bool:
         """Whether psi is a batch view of this problem's phi0 at t0."""
@@ -526,13 +521,9 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
             if not miss.any():
                 return r
             s, psi = t[miss], psi.take(miss)
-        if np.array_equal(s, last[0]):
-            _, r_nodes, r_kw = last
-        else:
-            # rows padded to the kernel's width sum alike in any batch
-            r_nodes, r_kw = _lag_rules(s, KERNEL_H, len(nodes))
-            r_nodes -= s[:, None]
-            last[:] = s.copy(), r_nodes, r_kw
+        # rows padded to the kernel's width sum alike in any batch
+        r_nodes, r_kw = _lag_rules(s, KERNEL_H, len(nodes))
+        r_nodes -= s[:, None]
         vals = psi(r_nodes)
         vals = r_kw * np.tanh(np.abs(vals, out=vals), out=vals)
         # rows at or past the cutoff have zero weights: their lag is 0

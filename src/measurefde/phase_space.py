@@ -50,17 +50,11 @@ def _lerp(nodes, left, right, j, x):
 
 
 def _read(nodes, left, right, x):
-    """The one reading rule of node arrays at x above nodes[0], a float or
-    a 1-d array: a node hit reads the node's left value (the right
-    neighbour wins a double hit), and on (nodes[i], nodes[i+1]] the line
-    from right[i] to left[i+1].  Never returns memory shared with left or
+    """The one reading rule of node arrays at the 1-d array x above
+    nodes[0]: a node hit reads the node's left value (the right neighbour
+    wins a double hit), and on (nodes[i], nodes[i+1]] the line from
+    right[i] to left[i+1].  Never returns memory shared with left or
     right."""
-    if isinstance(x, float):  # one point: no index or mask arrays
-        j = min(int(nodes.searchsorted(x)), len(nodes) - 1)
-        for node in (j, j - 1):
-            if _hits(nodes[node], x):
-                return left[node].copy()
-        return _lerp(nodes, left, right, j, x)
     j = np.minimum(nodes.searchsorted(x), len(nodes) - 1)
     out = _lerp(nodes, left, right, j, x)
     for node in (j - 1, j):

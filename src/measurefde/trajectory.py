@@ -36,16 +36,12 @@ class Trajectory:
         return self.values.shape[1]
 
     def value_at(self, t) -> np.ndarray:
-        """x at absolute times t: phi0(t - t0) at or below t0, and above it
-        the mesh read by the one rule of phase_space._read: the stored
-        (left) value at a node hit, and on (t_i, t_{i+1}] the line from the
-        post-jump value at t_i to the stored value at t_{i+1}.  Never
-        returns memory shared with the value arrays."""
+        """x at absolute times t, a float or a 1-d array: phi0(t - t0) at
+        or below t0, and above it the mesh read by phase_space._read: the
+        stored (left) value at a node hit, and on (t_i, t_{i+1}] the line
+        from the post-jump value at t_i to the stored value at t_{i+1}.
+        Never returns memory shared with the value arrays."""
         phi0, t0 = self.initial_history, self.t0
-        if isinstance(t, float):
-            if t <= t0:
-                return phi0.eval(t - t0)
-            return _read(self.mesh, self.values, self.post_jump_values, t)
         ts = np.asarray(t, dtype=float)
         flat = np.atleast_1d(ts)
         past = flat <= t0

@@ -75,6 +75,14 @@ def test_unknown_flag_is_usage_error():
     ["mfde", "--jumps", "0.5:nan", "--sigma", "1"],
     ["mfde", "--jumps", "0.5:inf", "--sigma", "1"],
     ["avg", "--eps", "0.1,0.1"],
+    ["avg", "--L", "inf"],
+    ["avg", "--eps0", "inf"],
+    ["avg", "--phi0", "nan"],
+    ["avg", "--a0", "inf"],
+    ["avg", "--b0", "nan"],
+    ["avg", "--case", "sine", "--phi0", "inf"],
+    ["es", "--omega", "0", "--t-end", "1"],
+    ["es", "--omega", "-8", "--t-end", "1"],
     ["integrate", "--levels", "2.5"],
     ["integrate", "--levels", "0.5"],
     ["es", "--pde-grid", "2.5", "--t-end", "1"],

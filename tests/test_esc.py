@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,12 @@ def test_params_reject_zero_amplitude():
 def test_params_reject_coarse_step():
     with pytest.raises(ValueError):
         quick_params(dt=0.05)
+
+
+@pytest.mark.parametrize("omega", [0.0, -8.0])
+def test_params_reject_nonpositive_omega(omega):
+    with pytest.raises(ValueError, match="omega must be positive"):
+        quick_params(omega=omega)
 
 
 @pytest.mark.parametrize("name", ["k_gain", "c", "a", "omega", "theta_star",
@@ -215,6 +222,15 @@ def test_equilibrium_with_tiny_probe():
     assert np.max(np.abs(tr.theta - 8.0)) < 1e-8
     assert np.max(np.abs(tr.y - p.y_star)) < 1e-12
     assert np.max(np.abs(tr.G)) < 1e-6
+
+
+def test_short_run_rings_grow_with_the_run_not_the_period():
+    # one dither period at dt = 1e-12 is about 7.9e11 steps
+    tracemalloc.start()
+    trace = simulate(quick_params(dt=1e-12, t_end=1e-11))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(trace.times) == 11 and peak < 1e6
 
 
 def test_first_step_probe_value():

@@ -11,8 +11,8 @@ spec = importlib.util.spec_from_file_location("paired_bench", SCRIPT)
 paired_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(paired_bench)
 
-METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"},
-           {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+           {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}]
 
 
 def runs(walls, rss):
@@ -32,7 +32,7 @@ def test_summary_medians_quartiles_and_pair_counts():
 
 
 def test_summary_counts_higher_as_better_when_declared():
-    metrics = [{"name": "wall_s", "unit": "s", "better": "higher"}]
+    metrics = [{"name": "wall_s", "unit": "s", "better": "higher", "bound": 0.25}]
     [row] = paired_bench.summarize(metrics, runs([1.0, 2.0], [0, 0]),
                                    runs([1.5, 1.0], [0, 0]))
     assert row["better"] == 1
@@ -53,6 +53,45 @@ def test_table_rows_follow_the_changes_format():
                                   runs([0.2, 0.28], [31.64, 31.7]))
     lines = paired_bench.table("avg_linear", rows).splitlines()
     assert lines[0].startswith("| workload | metric | parent | change |")
+    assert lines[0].endswith("| failed | verdict |")
     assert lines[2] == ("| avg_linear | wall_s | 0.250 [0.225, 0.275] "
-                        "| 0.240 [0.220, 0.260] | -4.0 % | 1/2 | 0 |")
-    assert lines[3].endswith("| -3.4 % | 2/2 | 0 |")
+                        "| 0.240 [0.220, 0.260] | -4.0 % | 1/2 | 0 | no regression |")
+    assert lines[3].endswith("| -3.4 % | 2/2 | 0 | gain |")
+    [none] = paired_bench.summarize(METRICS[:1], [None], [None])
+    assert paired_bench.table("avg_linear", [none]).endswith("| 0/0 | 2 | - |")
+
+
+TEN = [1.0, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+@pytest.mark.parametrize("change, verdict", [
+    # 10/10 pairs lower, medians 0.2 apart against a parent IQR of 0.045
+    ([v - 0.2 for v in TEN], "gain"),
+    # 9/10 pairs lower suffices
+    ([v - 0.2 for v in TEN[:9]] + [2.0], "gain"),
+    # 8/10 pairs lower: too few for a gain, and within the bound
+    ([v - 0.2 for v in TEN[:8]] + [2.0, 2.0], "no regression"),
+    # lower in every pair, but by less than the parent's IQR
+    ([v - 0.01 for v in TEN], "no regression"),
+    # the median 30 % worse against a 25 % bound
+    ([1.3 * v for v in TEN], "regression"),
+    # 20 % worse: inside the bound
+    ([1.2 * v for v in TEN], "no regression"),
+])
+def test_verdict_on_a_narrow_parent(change, verdict):
+    [row] = paired_bench.summarize(METRICS[:1], runs(TEN, TEN), runs(change, TEN))
+    assert row["verdict"] == verdict
+
+
+def test_verdict_on_a_parent_wider_than_the_bound():
+    parent = runs([0.5, 1.0, 1.5, 2.0, 2.5], [0] * 5)  # IQR 1.0 against median 1.5
+    [row] = paired_bench.summarize(METRICS[:1], parent, runs([1.4] * 5, [0] * 5))
+    assert row["verdict"] == "unresolved"
+    # a regression is named before the spread is
+    [row] = paired_bench.summarize(METRICS[:1], parent, runs([2.0] * 5, [0] * 5))
+    assert row["verdict"] == "regression"
+    # every change run better than every parent run resolves the spread;
+    # a gap of 0.5 against the IQR of 1.0 is no gain
+    parent = runs([1.0, 1.0, 1.5, 2.0, 2.0], [0] * 5)
+    [row] = paired_bench.summarize(METRICS[:1], parent, runs([0.9] * 5, [0] * 5))
+    assert row["verdict"] == "no regression"

@@ -177,10 +177,36 @@ def test_kept_values_are_returned_as_new_arrays():
         b[:] = np.nan
 
 
+def test_memo_keeps_only_times_above_the_last_kept():
+    memo = mfde._TimeMemo()
+    memo.put(np.array([0.3, 0.1, 0.2]), np.array([3.0, 1.0, 2.0]))
+    memo.put(np.array([0.3, 0.25, 0.05]), np.array([9.0, 9.0, 9.0]))
+    assert memo.n == 3
+    memo.put(np.array([0.5, 0.2, 0.4]), np.array([5.0, 9.0, 4.0]))
+    vals, miss = memo.get(np.array([0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.05]))
+    assert miss.tolist() == [False, False, True, False, False, False, True]
+    assert vals[~miss].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+def test_batches_in_decreasing_time_order_equal_fresh_rows():
+    # mesh times the solve kept, between midpoints below the last kept
+    # time, which are computed afresh on every call
+    p = tanh_kernel_problem(sigma=2.0)
+    x, _, _ = solve_picard(p, 2e-3)
+    fresh = tanh_kernel_problem(sigma=2.0)
+    mid = 0.5 * (x.mesh[1:] + x.mesh[:-1])
+    t = np.concatenate([x.mesh[100:400], mid[100:400]])
+    t = np.sort(t)[::-1].copy()
+    for _ in range(2):
+        r = lag(p, x, t)
+        assert np.array_equal(r, lag(fresh, x, t))
+        assert np.array_equal(rhs(p, x, t, r), rhs(fresh, x, t, r))
+
+
 def test_lag_rules_built_once_per_window(monkeypatch):
     # the solve builds the lag rules on each window's first sweep; the
-    # first window's t = 0 row (it reads theta = 0, never kept) adds one,
-    # and the monotone-delay check one more, which residual reuses
+    # t = 0 row (it reads theta = 0, never kept) adds one in the first
+    # window, and one each in the monotone-delay check and residual
     p = tanh_kernel_problem(sigma=2.0)
     builds, windows = [0], []
     rules, partition = mfde._lag_rules, mfde._partition_windows
@@ -198,7 +224,7 @@ def test_lag_rules_built_once_per_window(monkeypatch):
     x, _, _ = solve_picard(p, 2e-3)
     residual(x, p)
     assert len(windows) > 100
-    assert builds[0] <= len(windows) + 2
+    assert builds[0] <= len(windows) + 3
 
 
 def test_tanh_observed_order():
