@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Interleaved benchmark runs of two checkouts, parent against change.
 
-    python3 scripts/paired_bench.py --parent DIR --change DIR --workload W \\
+    python3 scripts/paired_bench.py --parent DIR --change DIR [--workload W] \\
         [--pairs 10] [--seed 0]
 
 Each pair runs the benchmark command of the parent's BENCHMARK.json with
 `--workload W --seed N --seconds S --trace 0`, S its run_seconds, once in
 each checkout, as a subprocess with the checkout as its working directory,
 one run at a time; the side that runs first alternates from pair to pair.
-The end-to-end metrics and the direction in which each is better come from
-the same file.
+Without --workload, every workload of that file is run in turn, in its
+order.  The end-to-end metrics and the direction in which each is better
+come from the same file.
 
-Prints one markdown row per metric: the median [Q1, Q3] of each side, the
-change/parent ratio of the medians, the number of pairs in which the change
-reads better (ties count for neither side), the number of runs that failed
-on either side, and a verdict from the metric's bound, the first that holds
-of:
+Prints one markdown table, one row per workload and metric: the median
+[Q1, Q3] of each side, the change/parent ratio of the medians, the number
+of pairs in which the change reads better (ties count for neither side),
+the number of runs of that workload that failed on either side, and a
+verdict from the metric's bound, the first that holds of:
 
   gain           better in >= 9/10 of the pairs, and the medians differ by
                  more than the parent's interquartile range (IQR)
@@ -98,22 +99,34 @@ def _fmt(q, unit: str) -> str:
     return f"{med:.{digits}f} [{q1:.{digits}f}, {q3:.{digits}f}]"
 
 
-def table(workload: str, rows: list[dict]) -> str:
+def tables(results: list[tuple[str, list[dict]]]) -> str:
+    """One markdown table of the summary rows of each (workload, rows)."""
     lines = ["| workload | metric | parent | change | change/parent "
              "| change better in | failed | verdict |",
              "|---|---|---|---|---|---|---|---|"]
-    for r in rows:
-        ratio = "-" if r["ratio"] is None else f"{100.0 * (r['ratio'] - 1.0):+.1f} %"
-        lines.append(f"| {workload} | {r['metric']} | {_fmt(r['parent'], r['unit'])} "
-                     f"| {_fmt(r['change'], r['unit'])} | {ratio} "
-                     f"| {r['better']}/{r['pairs']} | {r['failed']} "
-                     f"| {r['verdict'] or '-'} |")
+    for workload, rows in results:
+        for r in rows:
+            ratio = "-" if r["ratio"] is None else f"{100.0 * (r['ratio'] - 1.0):+.1f} %"
+            lines.append(f"| {workload} | {r['metric']} | {_fmt(r['parent'], r['unit'])} "
+                         f"| {_fmt(r['change'], r['unit'])} | {ratio} "
+                         f"| {r['better']}/{r['pairs']} | {r['failed']} "
+                         f"| {r['verdict'] or '-'} |")
     return "\n".join(lines)
 
 
-def run_once(checkout: Path, spec: dict, args) -> dict | None:
+def table(workload: str, rows: list[dict]) -> str:
+    """The table of one workload's summary rows."""
+    return tables([(workload, rows)])
+
+
+def workload_names(spec: dict, workload: str | None) -> list[str]:
+    """The workload given, or else every workload of the spec in its order."""
+    return [workload] if workload else [w["name"] for w in spec["workloads"]]
+
+
+def run_once(checkout: Path, spec: dict, workload: str, args) -> dict | None:
     """The end-to-end metrics of one benchmark run, or None if it failed."""
-    cmd = spec["command"] + ["--workload", args.workload, "--seed", str(args.seed),
+    cmd = spec["command"] + ["--workload", workload, "--seed", str(args.seed),
                              "--seconds", str(spec["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -133,22 +146,27 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_once(getattr(args, side), spec, args))
-        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
-    print(table(args.workload,
-                summarize(spec["end_to_end"], runs["parent"], runs["change"])))
-    return 1 if None in runs["parent"] + runs["change"] else 0
+    results, failed = [], False
+    for workload in workload_names(spec, args.workload):
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(getattr(args, side), spec, workload, args))
+            print(f"{workload}: pair {i + 1}/{args.pairs} done ({order[0]} first)",
+                  file=sys.stderr)
+        results.append((workload, summarize(spec["end_to_end"], runs["parent"],
+                                            runs["change"])))
+        failed = failed or None in runs["parent"] + runs["change"]
+    print(tables(results))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

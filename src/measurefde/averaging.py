@@ -131,6 +131,17 @@ def _random_extension(p: AvgProblem, rng: random.Random, n: int) -> Trajectory:
     return Trajectory(mesh, vals, vals.copy(), p.phi0, 0.0)
 
 
+def _shift_pair(p: AvgProblem, rng: random.Random, x: Trajectory):
+    """Two times a < b drawn on x's mesh and the one-row views of x's
+    segments at them, or None when they lie within 1e-6 of each other."""
+    a, b = sorted(rng.uniform(0.0, float(x.mesh[-1])) for _ in range(2))
+    if b - a < 1e-6:
+        return None
+    xa, xb = (_one_row(phase_space.segment(x, u, p.history_depth), p.history_depth)
+              for u in (a, b))
+    return b - a, xa, xb
+
+
 def history_gap_norm(a: RegulatedFn, b: RegulatedFn, weight: Weight) -> float:
     """Weighted sup norm of the pointwise difference of two histories."""
     lo = min(a.window_start, b.window_start)
@@ -178,13 +189,12 @@ def check_problem(p: AvgProblem, n_samples: int = 12,
         for _ in range(n_samples):
             t = rng.uniform(0.0, p.T)
             eps = rng.uniform(1e-3, p.eps0)
-            a, b = sorted(rng.uniform(0.0, float(x.mesh[-1])) for _ in range(2))
-            if b - a < 1e-6:
+            pair = _shift_pair(p, rng, x)
+            if pair is None:
                 continue
-            xa = _one_row(phase_space.segment(x, a, p.history_depth), p.history_depth)
-            xb = _one_row(phase_space.segment(x, b, p.history_depth), p.history_depth)
+            shift, xa, xb = pair
             gap = abs(_delay_at(p, t, xa, eps) - _delay_at(p, t, xb, eps))
-            worst_ratio = max(worst_ratio, gap / (eps * c3 * (b - a)))
+            worst_ratio = max(worst_ratio, gap / (eps * c3 * shift))
         results.append(("delay shift ratio vs eps*C3 (report only)", worst_ratio,
                         worst_ratio <= 1.0 + 1e-9))
     for name, worst, ok in results:
@@ -214,7 +224,7 @@ def make_averaged_rule(p: AvgProblem, n_panels: int = 64):
         weights.append(w * _sample(p.h.density, xs))
     s_nodes = np.concatenate(nodes)
     s_weights = np.concatenate(weights)
-    atoms = [(t, m) for t, m in p.h.jumps if 0.0 <= t < p.T]
+    atoms = p.h.jumps_in(0.0, p.T)
     k = len(s_nodes)
 
     def f0(psi, rows: int):
@@ -229,27 +239,30 @@ def make_averaged_rule(p: AvgProblem, n_panels: int = 64):
 # -- the two initial value problems -------------------------------------------
 
 
+def _problem(p: AvgProblem, eps: float, f: Callable, g: Integrator, scale: float,
+             extra_terms: tuple = ()) -> MfdeProblem:
+    """x' = eps f against g on [0, L/eps], bounds eps * scale * M, C, C2."""
+    M, C, C2, C4 = (p.const(name) for name in ("M", "C", "C2", "C4"))
+    bounds = ProblemBounds(
+        M_fn=lambda s: eps * M * scale,
+        L=lambda s: eps * C * scale,
+        L2=lambda s: eps * C2 * scale,
+        L3=lambda s: C4,
+    )
+    return MfdeProblem(f=lambda s, psi: eps * f(s, psi),
+                       rho_delay=lambda s, psi: p.rho_delay(s, psi, eps),
+                       g=g, phi0=p.phi0, t0=0.0, sigma=p.L / eps, bounds=bounds,
+                       tol=p.solver_tol, max_iters=p.max_iters, weight=p.weight,
+                       history_depth=p.history_depth, extra_terms=extra_terms)
+
+
 def _original_problem(p: AvgProblem, eps: float) -> MfdeProblem:
-    horizon = p.L / eps
-    M = p.const("M")
-    C = p.const("C")
-    C2 = p.const("C2")
-    C4 = p.const("C4")
     # the solver's _rows shapes what these return, one row per time
-    rhs = lambda s, psi: eps * np.asarray(p.f(s, psi), float)
+    f = lambda s, psi: np.asarray(p.f(s, psi), float)
     # the eps^2 perturbation is a second integral term, against h_pert if set
     pert = lambda s, psi: eps * eps * np.asarray(p.g_pert(s, psi, eps), float)
     extra_terms = () if p.g_pert is None else ((pert, p.h_pert or p.h),)
-    bounds = ProblemBounds(
-        M_fn=lambda s: eps * M * (1.0 + eps),
-        L=lambda s: eps * C * (1.0 + eps),
-        L2=lambda s: eps * C2 * (1.0 + eps),
-        L3=lambda s: C4,
-    )
-    return MfdeProblem(f=rhs, rho_delay=lambda s, psi: p.rho_delay(s, psi, eps),
-                       g=p.h, phi0=p.phi0, t0=0.0, sigma=horizon, bounds=bounds,
-                       tol=p.solver_tol, max_iters=p.max_iters, weight=p.weight,
-                       history_depth=p.history_depth, extra_terms=extra_terms)
+    return _problem(p, eps, f, p.h, 1.0 + eps, extra_terms)
 
 
 def _default_steps(p: AvgProblem, eps: float) -> tuple[float, float]:
@@ -276,19 +289,8 @@ def solve_averaged(p: AvgProblem, eps: float, step: float | None = None,
     if step is None:
         _, step = _default_steps(p, eps)
     f0 = make_averaged_rule(p, n_panels)
-    scale = p.alpha / p.T
-    bounds = ProblemBounds(
-        M_fn=lambda s: eps * p.const("M") * scale,
-        L=lambda s: eps * p.const("C") * scale,
-        L2=lambda s: eps * p.const("C2") * scale,
-        L3=lambda s: p.const("C4"),
-    )
-    prob = MfdeProblem(f=lambda s, psi: eps * f0(psi, len(s)),
-                       rho_delay=lambda s, psi: p.rho_delay(s, psi, eps),
-                       g=Integrator.identity(), phi0=p.phi0, t0=0.0,
-                       sigma=p.L / eps, bounds=bounds, tol=p.solver_tol,
-                       max_iters=p.max_iters, weight=p.weight,
-                       history_depth=p.history_depth)
+    prob = _problem(p, eps, lambda s, psi: f0(psi, len(s)), Integrator.identity(),
+                    p.alpha / p.T)
     traj, _iters, _delta = solve_picard(prob, step=step)
     return traj
 
@@ -390,14 +392,12 @@ def estimate_constants(p: AvgProblem, n_samples: int = 40, seed: int = 0) -> dic
             C = max(C, float(dC))
             dr = abs(_delay_at(p, t, vpsi, eps) - _delay_at(p, t, vchi, eps)) / gap
             C4 = max(C4, dr)
-        a, b = sorted(rng.uniform(0.0, float(x.mesh[-1])) for _ in range(2))
-        if b - a > 1e-6:
-            xa = _one_row(phase_space.segment(x, a, p.history_depth), p.history_depth)
-            xb = _one_row(phase_space.segment(x, b, p.history_depth), p.history_depth)
-            dC2 = np.linalg.norm(_f_at(p, t, xa) - _f_at(p, t, xb)) / (b - a)
+        pair = _shift_pair(p, rng, x)
+        if pair is not None:
+            shift, xa, xb = pair
+            dC2 = np.linalg.norm(_f_at(p, t, xa) - _f_at(p, t, xb)) / shift
             C2 = max(C2, float(dC2))
-            d3 = abs(_delay_at(p, t, xa, eps) - _delay_at(p, t, xb, eps)) \
-                / (eps * (b - a))
+            d3 = abs(_delay_at(p, t, xa, eps) - _delay_at(p, t, xb, eps)) / (eps * shift)
             C3 = max(C3, d3)
     return {"M": M * 1.5 + 1e-6, "C": C * 1.5 + 1e-6, "C2": C2 * 1.5 + 1e-6,
             "C3": C3 * 1.5 + 1e-6, "C4": C4 * 1.5 + 1e-6,

@@ -50,7 +50,6 @@ DEFAULTS = {
            "pde_grid": 21, "theta_hat0": 0.0, "washout": 1.0,
            "tail_start": -1.0, "out": "es_run"},
 }
-_COMMON = {"seed": 0}
 
 # the allowed values of the keys that take one of a fixed set
 CHOICES = {"f": EXPRESSIONS, "density": EXPRESSIONS, "example": ("tanh",),
@@ -77,7 +76,6 @@ class RunConfig:
     subcommand: str
     params: dict = field(default_factory=dict)
     out: str = ""
-    seed: int = 0
 
 
 class UsageError(ValueError):
@@ -129,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name, help_text in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for key in [*DEFAULTS[name], *_COMMON, "config"]:
+        for key in [*DEFAULTS[name], "config"]:
             p.add_argument("--" + key.replace("_", "-"), dest=key,
                            help=_HELP.get(key))
     return ap
@@ -143,7 +141,7 @@ def _load_config_file(path: str, subcommand: str) -> dict:
         raise UsageError(f"cannot read config file {path!r}")
     if not cp.has_section(subcommand):
         raise UsageError(f"config file {path!r} has no [{subcommand}] section")
-    known = set(DEFAULTS[subcommand]) | set(_COMMON)
+    known = set(DEFAULTS[subcommand])
     out = {}
     for key, value in cp.items(subcommand):
         if key not in known:
@@ -168,7 +166,7 @@ def parse_args(argv) -> RunConfig:
              if k not in ("subcommand", "config") and v is not None}
     if ns.config:
         given = {**_load_config_file(ns.config, subcommand), **given}
-    defaults = {**DEFAULTS[subcommand], **_COMMON}
+    defaults = DEFAULTS[subcommand]
     preset = _table1_layer() if given.get("preset") == "table1" else {}
     merged = {**defaults, **preset, **given}
     for key, value in merged.items():
@@ -185,9 +183,8 @@ def parse_args(argv) -> RunConfig:
             if isinstance(default, int) and not val.is_integer():
                 raise UsageError(f"{key!r} takes an integer, not {value!r}")
             merged[key] = int(val) if isinstance(default, int) else val
-    seed = merged.pop("seed")
     out = str(merged.pop("out", ""))
-    return RunConfig(subcommand=subcommand, params=merged, out=out, seed=seed)
+    return RunConfig(subcommand=subcommand, params=merged, out=out)
 
 
 def _summary_text(cfg: RunConfig, results: dict) -> str:
@@ -198,7 +195,6 @@ def _summary_text(cfg: RunConfig, results: dict) -> str:
         buf.write(f"{key} = {value}\n")
     if cfg.out:
         buf.write(f"out = {cfg.out}\n")
-    buf.write(f"seed = {cfg.seed}\n")
     for key, value in results.items():
         buf.write(f"# {key} = {value}\n")
     return buf.getvalue()

@@ -100,7 +100,7 @@ class EsParams:
     dt: float = 1e-3
     t_end: float = 200.0
     predictor_on: bool = True
-    washout: float = 1.0              # rad/s; 0 disables washout and averaging
+    washout: float = 1.0              # rad/s, >= 0; 0 disables washout and averaging
     u0: float = 0.0
     divergence_cap: float = 1e6
 
@@ -115,6 +115,8 @@ class EsParams:
             raise ValueError("probe amplitude must be nonzero")
         if not self.omega > 0:
             raise ValueError("omega must be positive")
+        if self.washout < 0:
+            raise ValueError("washout must be nonnegative")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not 0 <= self.t_end < math.inf:

@@ -409,42 +409,41 @@ def _lag_rules(t: np.ndarray, max_h: float,
 
 class _TimeMemo:
     """One float per time for up to MEMO_SIZE times, kept in increasing
-    order in two arrays whose storage doubles when it fills.  A put keeps
-    only the times above the last kept one: the solver's windows advance
-    in time, and a time left out is computed afresh.  No numpy sort runs:
-    its code alone would add 0.2 MB of resident memory to a solve."""
+    order in two arrays allocated once at that size, whose untouched pages
+    never become resident.  A recall keeps only times above the last kept
+    one: the solver's windows advance in time, and a time left out is
+    computed afresh.  No numpy sort runs: its code alone would add 0.2 MB
+    of resident memory to a solve."""
 
     __slots__ = ("keys", "vals", "n")
 
     def __init__(self):
-        self.keys, self.vals, self.n = np.empty(256), np.empty(256), 0
+        self.keys, self.vals, self.n = np.empty(MEMO_SIZE), np.empty(MEMO_SIZE), 0
 
-    def get(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A new array of the values kept for the times t, arbitrary where
-        a time is missing, and the mask of the missing times."""
-        if not self.n:
-            return np.empty(len(t)), np.ones(len(t), dtype=bool)
-        keys = self.keys[:self.n]
-        i = np.minimum(keys.searchsorted(t), self.n - 1)
-        return self.vals[i], keys[i] != t
-
-    def put(self, t: np.ndarray, vals: np.ndarray):
-        """Keep vals at those of the times t above the last kept time."""
+    def recall(self, s: np.ndarray, psi, compute) -> np.ndarray:
+        """A new array of the values at the times s of the batch psi: kept
+        ones, and for the rest those of compute(times, rows), which also
+        returns the mask of its values that may be kept."""
         n = self.n
+        if n:
+            keys = self.keys[:n]
+            i = np.minimum(keys.searchsorted(s), n - 1)
+            vals, miss = self.vals[i], keys[i] != s
+            if not miss.any():
+                return vals
+        else:
+            vals, miss = np.empty(len(s)), np.ones(len(s), dtype=bool)
+        t = s[miss]
+        fresh, keep = compute(t, psi.take(miss))
+        vals[miss] = fresh
         top = float(self.keys[n - 1]) if n else -math.inf
-        fresh = sorted(kv for kv in dict(zip(t.tolist(), vals.tolist())).items()
-                       if kv[0] > top)
-        m = len(fresh)
-        if not m or n + m > MEMO_SIZE:
-            return
-        if n + m > len(self.keys):
-            size = min(max(2 * len(self.keys), n + m), MEMO_SIZE)
-            for name in ("keys", "vals"):
-                grown = np.empty(size)
-                grown[:n] = getattr(self, name)[:n]
-                setattr(self, name, grown)
-        self.keys[n:n + m], self.vals[n:n + m] = zip(*fresh)
-        self.n = n + m
+        kept = dict(zip(t[keep].tolist(), fresh[keep].tolist()))
+        new = sorted(kv for kv in kept.items() if kv[0] > top)
+        m = len(new)
+        if m and n + m <= len(self.keys):
+            self.keys[n:n + m], self.vals[n:n + m] = zip(*new)
+            self.n = n + m
+        return vals
 
 
 def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
@@ -488,22 +487,31 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
         """f's kernel integral over the columns cols, one sum per row."""
         return (np.tanh(psi(nodes[cols])) * kw[cols]).sum(axis=1)
 
+    def head_sum(s, psi):  # kept where every head read lies in phi0
+        return ksum(psi, slice(0, head)), s + nodes[head - 1] <= t0
+
+    def lag_of(s, psi):
+        # rows padded to the kernel's width sum alike in any batch
+        r_nodes, r_kw = _lag_rules(s, KERNEL_H, len(nodes))
+        r_nodes -= s[:, None]
+        vals = psi(r_nodes)
+        vals = r_kw * np.tanh(np.abs(vals, out=vals), out=vals)
+        # rows at or past the cutoff have zero weights: their lag is 0
+        lag = s - vals.sum(axis=1)
+        # a row's last node is its latest read; s > 0 keeps it below
+        # theta = 0, where a post index reads the iterate; a batch wider
+        # than the kernel may sum to other bits and keeps nothing
+        reach = s + np.minimum(np.maximum(r_nodes[:, -1], -depth), 0.0)
+        return lag, (s > 0.0) & (reach <= t0) & (r_nodes.shape[1] == len(nodes))
+
     def f(t, psi):
         if np.ndim(t) == 0:
             return float(math.cos(t) ** 2 * np.dot(kw, np.tanh(psi(nodes))))
         rest = ksum(psi, slice(head, None))
         if not head:
             return np.cos(t) ** 2 * rest
-        if own(psi):
-            part, miss = heads.get(psi.t)
-            if miss.any():
-                sub = psi.take(miss)
-                fresh = ksum(sub, slice(0, head))
-                ok = sub.t + nodes[head - 1] <= t0  # every head read in phi0
-                heads.put(sub.t[ok], fresh[ok])
-                part[miss] = fresh
-        else:
-            part = ksum(psi, slice(0, head))
+        part = (heads.recall(psi.t, psi, head_sum) if own(psi)
+                else ksum(psi, slice(0, head)))
         return np.cos(t) ** 2 * (part + rest)
 
     def rho(t, psi):
@@ -514,30 +522,9 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
             return float(t - np.dot(r_kw, np.tanh(np.abs(psi(r_nodes - t)))))
         if not (t < KERNEL_CUTOFF).any():  # every row at or past the cutoff
             return t.copy()
-        kept = own(psi) and np.array_equal(psi.t, t)
-        s = t
-        if kept:
-            r, miss = lags.get(t)
-            if not miss.any():
-                return r
-            s, psi = t[miss], psi.take(miss)
-        # rows padded to the kernel's width sum alike in any batch
-        r_nodes, r_kw = _lag_rules(s, KERNEL_H, len(nodes))
-        r_nodes -= s[:, None]
-        vals = psi(r_nodes)
-        vals = r_kw * np.tanh(np.abs(vals, out=vals), out=vals)
-        # rows at or past the cutoff have zero weights: their lag is 0
-        lag = s - vals.sum(axis=1)
-        if not kept:
-            return lag
-        if r_nodes.shape[1] == len(nodes):
-            # a row's last node is its latest read; s > 0 keeps it below
-            # theta = 0, where a post index reads the iterate
-            reach = s + np.minimum(np.maximum(r_nodes[:, -1], -depth), 0.0)
-            ok = (s > 0.0) & (reach <= t0)
-            lags.put(s[ok], lag[ok])
-        r[miss] = lag
-        return r
+        if own(psi) and np.array_equal(psi.t, t):
+            return lags.recall(t, psi, lag_of)
+        return lag_of(t, psi)[0]
 
     c_bar = float(np.dot(kw, np.exp(nodes)))   # int |T| e^theta
     bounds = ProblemBounds(

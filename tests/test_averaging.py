@@ -202,6 +202,31 @@ def test_estimate_constants_cover_sampled_data():
     assert est["M"] > 0 and est["Kp"] == 1.0
 
 
+def state_lagged(s, psi, eps):
+    """A delay that reads the history, so that the sampled shift pairs of
+    the checks see it move."""
+    return s - 0.1 * eps * np.tanh(psi(0.0) ** 2)
+
+
+def test_sampled_checks_keep_their_draws():
+    # exact values of the checks at seed 0, recorded before the shift pairs
+    # of check_problem and estimate_constants were read through one helper:
+    # they hold only if the draws keep their order
+    base = linear_periodic_problem()
+    lagged = replace(base, rho_delay=state_lagged)
+    common = [("f periodicity", 8.881784197001252e-16, True),
+              ("h period increment", 1.7763568394002505e-15, True),
+              ("delay below current time", 0.0, True)]
+    ratio = "delay shift ratio vs eps*C3 (report only)"
+    assert check_problem(base, seed=0) == common + [(ratio, 0.0, True)]
+    assert check_problem(lagged, seed=0) == common + [(ratio, 1.3267332350822143, False)]
+    est = {"M": 5.790928432483373, "C": 2.6588373946380335, "C2": 0.8700523531026046,
+           "C3": 1e-06, "C4": 1e-06, "Kp": 1.0}
+    assert estimate_constants(replace(base, consts={}), n_samples=20, seed=0) == est
+    est.update(C3=0.04763555402725621, C4=0.01772285230524015)
+    assert estimate_constants(replace(lagged, consts={}), n_samples=20, seed=0) == est
+
+
 def test_random_extension_starts_from_phi0_at_zero():
     # the Gaussian steps start after the node at t0, so C2 and C3 are
     # sampled along an extension that does not jump right after t0

@@ -83,10 +83,10 @@ def test_unknown_flag_is_usage_error():
     ["avg", "--case", "sine", "--phi0", "inf"],
     ["es", "--omega", "0", "--t-end", "1"],
     ["es", "--omega", "-8", "--t-end", "1"],
+    ["es", "--washout", "-1", "--t-end", "1"],
     ["integrate", "--levels", "2.5"],
     ["integrate", "--levels", "0.5"],
     ["es", "--pde-grid", "2.5", "--t-end", "1"],
-    ["es", "--seed", "1.5", "--t-end", "1"],
     ["es", "--predictor", "maybe", "--t-end", "1"],
     ["es", "--preset", "tablex", "--t-end", "1"],
     ["es", "--delay", "const:abc", "--t-end", "1"],
@@ -97,6 +97,15 @@ def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert err.startswith("usage error") and not out
     assert not list(tmp_path.iterdir())             # nothing written on exit 2
+
+
+def test_seed_key_is_not_accepted(tmp_path, monkeypatch, capsys):
+    # no run read the seed key; a summary that still carries it is refused
+    monkeypatch.chdir(tmp_path)
+    Path("old_summary.txt").write_text("[mfde]\nsigma = 0.3\nseed = 0\n")
+    assert main(["mfde", "--config", "old_summary.txt", "--out", "x"]) == 2
+    assert main(["mfde", "--seed", "0", "--out", "x"]) == 2
+    assert [f.name for f in tmp_path.iterdir()] == ["old_summary.txt"]
 
 
 def test_integrate_prints_value_and_ladder(capsys):

@@ -49,6 +49,13 @@ def test_params_reject_nonpositive_omega(omega):
         quick_params(omega=omega)
 
 
+def test_params_reject_negative_washout():
+    # a negative washout used to run the raw-product chain, as washout = 0
+    with pytest.raises(ValueError, match="washout must be nonnegative"):
+        quick_params(washout=-3.0)
+    assert quick_params(washout=0.0).washout == 0.0
+
+
 @pytest.mark.parametrize("name", ["k_gain", "c", "a", "omega", "theta_star",
                                   "y_star", "hessian", "theta_hat0", "washout",
                                   "u0"])

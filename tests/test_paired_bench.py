@@ -2,6 +2,7 @@
 benchmark run is started."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -95,3 +96,50 @@ def test_verdict_on_a_parent_wider_than_the_bound():
     parent = runs([1.0, 1.0, 1.5, 2.0, 2.0], [0] * 5)
     [row] = paired_bench.summarize(METRICS[:1], parent, runs([0.9] * 5, [0] * 5))
     assert row["verdict"] == "no regression"
+
+
+SPEC = {"workloads": [{"name": "es_table1"}, {"name": "avg_linear"},
+                      {"name": "mfde_tanh"}]}
+
+
+def test_workloads_default_to_every_one_of_the_spec():
+    assert paired_bench.workload_names(SPEC, None) == ["es_table1", "avg_linear",
+                                                       "mfde_tanh"]
+    assert paired_bench.workload_names(SPEC, "mfde_tanh") == ["mfde_tanh"]
+
+
+def test_one_table_holds_every_workload():
+    a = paired_bench.summarize(METRICS, runs([0.2, 0.3], [32.76, 32.8]),
+                               runs([0.2, 0.28], [31.64, 31.7]))
+    b = paired_bench.summarize(METRICS[:1], runs([1.0], [0]), [None])
+    lines = paired_bench.tables([("avg_linear", a), ("mfde_tanh", b)]).splitlines()
+    assert lines[:2] == paired_bench.table("avg_linear", a).splitlines()[:2]
+    assert len(lines) == 2 + 3
+    assert [line.split(" | ")[0:2] for line in lines[2:]] == [
+        ["| avg_linear", "wall_s"], ["| avg_linear", "peak_rss_mb"],
+        ["| mfde_tanh", "wall_s"]]
+    assert lines[2:4] == paired_bench.table("avg_linear", a).splitlines()[2:]
+    assert lines[4].endswith("| 0/0 | 1 | - |")
+
+
+def test_main_runs_each_workload_in_turn_and_fails_on_a_failed_run(
+        tmp_path, monkeypatch, capsys):
+    spec = {**SPEC, "end_to_end": METRICS[:1], "command": [], "run_seconds": 1}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run(checkout, spec, workload, args):
+        calls.append(workload)
+        return None if workload == "avg_linear" and len(calls) == 3 else {"wall_s": 1.0}
+
+    monkeypatch.setattr(paired_bench, "run_once", fake_run)
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--pairs", "1"]
+    assert paired_bench.main(argv) == 1
+    assert calls == ["es_table1"] * 2 + ["avg_linear"] * 2 + ["mfde_tanh"] * 2
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [r.split(" | ")[0] for r in rows] == ["| es_table1", "| avg_linear",
+                                                 "| mfde_tanh"]
+    assert [r.split(" | ")[-2] for r in rows] == ["0", "1", "0"]
+    calls.clear()
+    assert paired_bench.main(argv + ["--workload", "mfde_tanh"]) == 0
+    assert calls == ["mfde_tanh"] * 2

@@ -177,15 +177,59 @@ def test_kept_values_are_returned_as_new_arrays():
         b[:] = np.nan
 
 
+class Rows:
+    """A stand-in for a batch view: take keeps the rows a mask selects."""
+
+    def __init__(self, t):
+        self.t = t
+
+    def take(self, rows):
+        return Rows(self.t[rows])
+
+
+def recaller(memo, asked):
+    """recall on the times given, with a compute that records the times it
+    is asked for, returns their negatives and marks all but 0.4 to keep."""
+    def negate(times, rows):
+        assert np.array_equal(rows.t, times)
+        asked.append(times.tolist())
+        return -times, times != 0.4
+
+    def recall(*times):
+        t = np.array(times)
+        return memo.recall(t, Rows(t), negate)
+    return recall
+
+
 def test_memo_keeps_only_times_above_the_last_kept():
-    memo = mfde._TimeMemo()
-    memo.put(np.array([0.3, 0.1, 0.2]), np.array([3.0, 1.0, 2.0]))
-    memo.put(np.array([0.3, 0.25, 0.05]), np.array([9.0, 9.0, 9.0]))
+    memo, asked = mfde._TimeMemo(), []
+    recall = recaller(memo, asked)
+    assert recall(0.3, 0.1, 0.2).tolist() == [-0.3, -0.1, -0.2]
     assert memo.n == 3
-    memo.put(np.array([0.5, 0.2, 0.4]), np.array([5.0, 9.0, 4.0]))
-    vals, miss = memo.get(np.array([0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.05]))
-    assert miss.tolist() == [False, False, True, False, False, False, True]
-    assert vals[~miss].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    # at or below the last kept time 0.3: computed and not kept
+    assert recall(0.3, 0.25, 0.05).tolist() == [-0.3, -0.25, -0.05]
+    assert asked[-1] == [0.25, 0.05] and memo.n == 3
+    # only the missing rows are computed, and 0.4 is not marked to keep
+    assert recall(0.5, 0.2, 0.4).tolist() == [-0.5, -0.2, -0.4]
+    assert asked[-1] == [0.5, 0.4] and memo.n == 4
+    got = recall(0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.05)
+    assert got.tolist() == [-0.1, -0.2, -0.25, -0.3, -0.4, -0.5, -0.05]
+    assert asked[-1] == [0.25, 0.4, 0.05]
+    # kept values come back as new arrays, with nothing computed
+    for _ in range(2):
+        got = recall(0.1, 0.5)
+        assert got.tolist() == [-0.1, -0.5] and len(asked) == 4
+        got[:] = np.nan
+
+
+def test_empty_memo_computes_every_row(monkeypatch):
+    monkeypatch.setattr(mfde, "MEMO_SIZE", 0)
+    memo, asked = mfde._TimeMemo(), []
+    recall = recaller(memo, asked)
+    for _ in range(2):
+        assert recall(0.3, 0.1).tolist() == [-0.3, -0.1]
+        assert asked[-1] == [0.3, 0.1]
+    assert memo.n == 0 and len(memo.keys) == 0
 
 
 def test_batches_in_decreasing_time_order_equal_fresh_rows():
