@@ -26,7 +26,10 @@ verdict from the metric's bound, the first that holds of:
                  change run better than every parent run
   no regression  otherwise
 
-Exits 1 if any run failed.
+Exits 1 if any run failed.  Refuses the pair with exit 2, before any run,
+when a regular file under the `paths` of the parent's BENCHMARK.json
+(`__pycache__` aside) differs between the two checkouts or exists in one
+only: a gain is claimed on identical benchmark code.
 """
 
 from __future__ import annotations
@@ -124,6 +127,26 @@ def workload_names(spec: dict, workload: str | None) -> list[str]:
     return [workload] if workload else [w["name"] for w in spec["workloads"]]
 
 
+def benchmark_files(checkout: Path, paths: list[str]) -> dict[str, bytes]:
+    """The regular files under the given paths of a checkout, outside
+    __pycache__, as relative path -> content."""
+    files = {}
+    for top in paths:
+        root = checkout / top
+        for path in [root] if root.is_file() else sorted(root.rglob("*")):
+            rel = path.relative_to(checkout)
+            if path.is_file() and "__pycache__" not in rel.parts:
+                files[rel.as_posix()] = path.read_bytes()
+    return files
+
+
+def benchmark_differences(parent: Path, change: Path, paths: list[str]) -> list[str]:
+    """The files under paths that differ between the checkouts or that only
+    one of them has."""
+    a, b = benchmark_files(parent, paths), benchmark_files(change, paths)
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+
+
 def run_once(checkout: Path, spec: dict, workload: str, args) -> dict | None:
     """The end-to-end metrics of one benchmark run, or None if it failed."""
     cmd = spec["command"] + ["--workload", workload, "--seed", str(args.seed),
@@ -153,6 +176,11 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    differ = benchmark_differences(args.parent, args.change, spec["paths"])
+    if differ:
+        print("refused: the benchmark differs between the checkouts in "
+              + ", ".join(differ), file=sys.stderr)
+        return 2
     results, failed = [], False
     for workload in workload_names(spec, args.workload):
         runs = {"parent": [], "change": []}

@@ -9,7 +9,12 @@ value becomes a fixed-width row (sign, 22-byte body, separator) whose body
 layout depends only on X, and a table indexed by (X, last nonzero digit,
 sign) picks the bytes %.17g keeps, so one boolean compress per block gives
 the text.  Python formats every other value (zeros, subnormals, nan, inf,
-other magnitudes), and its text is spliced in.
+other magnitudes), and its text goes where a marker byte holds its place.
+
+The integer arithmetic runs in place and two row buffers take turns in the
+layout, so a 512 x 11 block of the table-1 trace peaks at about 75 bytes
+per value (tracemalloc), the returned text of about 20 bytes per value
+included.
 """
 
 import numpy as np
@@ -34,6 +39,7 @@ _QUAD_TZ[:] = np.frombuffer(_PAIR_TZ, np.uint8)
 _QUAD_TZ[:, 0] = np.frombuffer(bytes(t + 2 for t in _PAIR_TZ), np.uint8)
 _QUAD_TZ = _QUAD_TZ.ravel()
 _W = 24                             # sign, 22 body bytes, separator
+_ROW = np.dtype((np.void, _W))
 
 
 def _keep_rows(X: int, li: int) -> bytes:
@@ -48,11 +54,11 @@ def _keep_rows(X: int, li: int) -> bytes:
     return b"\0" + row + b"\1" + row
 
 
-# row ((X - _X0) * 17 + li) * 2 + sign; the last keeps only the separator,
-# after a value that Python formats
+# row ((X - _X0) * 17 + li) * 2 + sign; the last, for a value that Python
+# formats, keeps the byte that marks its place and the separator
 _KEEP = np.frombuffer(b"".join(_keep_rows(X, li) for X in range(_X0, _X0 + _NX)
                                for li in range(17))
-                      + bytes(_W - 1) + b"\1", bool).reshape(-1, _W)
+                      + b"\1" + bytes(_W - 2) + b"\1", bool).reshape(-1, _W)
 
 
 def _digits17(bits: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -60,34 +66,57 @@ def _digits17(bits: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     |x| = m * 2**(e - 1075) with m of 53 bits, so the result is the 128-bit
     product m * 5**(16 - X) (32-bit partial products; 5**27 < 2**64) shifted
-    right by 1 to 63 bits.
+    right by 1 to 63 bits.  The arithmetic runs in place on six arrays.
     """
-    k = 16 - X
-    shift = (X + 1059).astype(_U) - (bits >> _U(52))
-    m = (bits & _U((1 << 52) - 1)) | _U(1 << 52)
-    m0, m1 = m & _M32, m >> _U(32)
-    q0, q1 = _Q0[k], _Q1[k]
-    p00 = m0 * q0
-    mid = m0 * q1 + m1 * q0 + (p00 >> _U(32))      # < 2**64: m1 < 2**21
-    lo = (p00 & _M32) | (mid << _U(32))
-    hi = m1 * q1 + (mid >> _U(32))
+    X = X.astype(np.intp)
+    lo, hi = _Q0.take(16 - X), _Q1.take(16 - X)    # 5**(16 - X) in halves
+    m0 = bits & _U((1 << 52) - 1)
+    m0 |= _U(1 << 52)
+    m1 = m0 >> _U(32)
+    m0 &= _M32
+    mid = m1 * lo
+    lo *= m0                                # m0 * q0
+    m0 *= hi
+    mid += m0
+    np.right_shift(lo, _U(32), out=m0)
+    mid += m0                               # < 2**64: m1 < 2**21
+    hi *= m1
+    np.right_shift(mid, _U(32), out=m1)
+    hi += m1                                # the product's high word
+    lo &= _M32
+    mid <<= _U(32)
+    lo |= mid                               # and its low word
+    X += 1059
+    shift = X.view(_U)
+    shift -= bits >> _U(52)                 # X + 1059 - e
     # add half an output unit, less one unless the kept part is odd
-    lo_r = lo + (_U(1) << (shift - _U(1))) - _U(1) + ((lo >> shift) & _U(1))
-    hi += lo_r < lo
-    return (hi << (_U(64) - shift)) | (lo_r >> shift)
+    np.right_shift(lo, shift, out=m0)
+    m0 &= _U(1)
+    np.subtract(shift, _U(1), out=mid)
+    np.left_shift(_U(1), mid, out=mid)
+    mid += m0
+    mid -= _U(1)
+    mid += lo
+    hi += mid < lo                          # the carry
+    mid >>= shift
+    np.subtract(_U(64), shift, out=shift)
+    hi <<= shift
+    hi |= mid
+    return hi
 
 
-def g17_rows(block: np.ndarray) -> bytes:
-    """The %.17g CSV rows of a 2-D block, ',' between columns."""
-    cols = block.shape[1]
-    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    if not x.size:
-        return b""
+def _digit_rows(x: np.ndarray):
+    """What the layout needs of x: where Python formats, X (int8), the index
+    li of the last nonzero digit, and rows of 24 bytes with the 17 digits in
+    bytes 3..19."""
     a = np.abs(x)
     by_python = ~((a > _LO) & (a < _HI))
     a[by_python] = 1.0
     bits = a.view(_U)
-    X = np.maximum(np.floor(np.log10(a)).astype(np.intp), _X0)
+    X = np.log10(a)
+    np.floor(X, out=X)
+    X = X.astype(np.int8)
+    np.maximum(X, _X0, out=X)
     N = _digits17(bits, X)
     fix = np.flatnonzero((N >= _E17) | (N <= _E16))
     if fix.size:
@@ -97,15 +126,19 @@ def g17_rows(block: np.ndarray) -> bytes:
         Nf[up] = _E16
         X[fix], N[fix] = Xf + up, Nf
 
-    # N as five quads: 1 + 4 * 4 digits, the text in bytes 3..19 of a row
-    N = N.view(np.intp)                     # N < 10**17 < 2**63
+    # N as five quads, 1 + 4 * 4 digits, in uint32 arithmetic below 10**9
     hi8 = N // 10 ** 8
-    lo8 = N - hi8 * 10 ** 8
-    quads = [hi8 // 10 ** 8, hi8 // 10 ** 4 % 10 ** 4, hi8 % 10 ** 4,
-             lo8 // 10 ** 4, lo8 % 10 ** 4]
-    text = np.empty((x.size, 5), np.uint32)
+    N -= hi8 * 10 ** 8
+    hi8, lo8 = hi8.astype(np.uint32), N.astype(np.uint32)
+    top = hi8 // 10 ** 8
+    hi8 -= top * 10 ** 8
+    q1, q3 = hi8 // 10 ** 4, lo8 // 10 ** 4
+    hi8 -= q1 * 10 ** 4
+    lo8 -= q3 * 10 ** 4
+    quads = [top, q1, hi8, q3, lo8]
+    text = np.empty((x.size, _W // 4), np.uint32)
     for j, quad in enumerate(quads):
-        text[:, j] = _QUAD[quad]
+        text[:, j] = _QUAD.take(quad)
     # li, the index of the last nonzero digit: past the last quad only
     # where it is 0000
     li = 16 - _QUAD_TZ[quads[4]]
@@ -115,45 +148,64 @@ def g17_rows(block: np.ndarray) -> bytes:
         quad = quad[zero]
         li[zero] -= run * _QUAD_TZ[quad]
         run &= quad == 0
-    code = ((X - _X0) * 17 + li) * 2 + (x < 0)
-    code[by_python] = len(_KEEP) - 1
-    keep = _KEEP[code]
+    return by_python, X, li, text.view(np.uint8)
 
-    # one body layout per X: lay the rows out sorted by X, then unsort them
-    Xb = X.astype(np.int8)
-    order = np.argsort(Xb, kind="stable")
-    digits = text.view(np.uint8)[order, 3:]
-    Xb = Xb[order]
-    cuts = [0, *(np.flatnonzero(Xb[1:] != Xb[:-1]) + 1).tolist(), x.size]
-    laid = np.empty((x.size, _W), np.uint8)
-    laid[:, 0] = ord("-")
-    laid[:, -1] = ord(",")
+
+def _lay_out(text: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The rows of text with each body laid out as %.17g does at its X.
+
+    The rows are gathered sorted by X into a second buffer, each run of one
+    X is laid out by slicing back into text, and the laid-out rows are put
+    back in their order in the second buffer, which is returned.
+    """
+    order = np.argsort(X, kind="stable")
+    digits = text.view(_ROW).ravel().take(order).view(np.uint8).reshape(text.shape)
+    laid = text
+    Xs = X[order]
+    cuts = [0, *(np.flatnonzero(Xs[1:] != Xs[:-1]) + 1).tolist(), X.size]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        e = int(Xb[lo])
-        body, d = laid[lo:hi, 1:23], digits[lo:hi]
-        if -4 <= e < 0:
+        e = int(Xs[lo])
+        body, d = laid[lo:hi, 1:23], digits[lo:hi, 3:20]
+        if -4 <= e < 0:                     # "0.", -e - 1 zeros, the digits
             body[:, :1 - e] = np.frombuffer(b"0.000"[:1 - e], np.uint8)
             body[:, 1 - e:18 - e] = d
         else:
-            p = max(e, 0) + 1
+            p = max(e, 0) + 1               # digits before the '.'
             body[:, :p] = d[:, :p]
             body[:, p] = ord(".")
             body[:, p + 1:18] = d[:, p:]
             if e < -4:
                 body[:, 18:] = np.frombuffer(b"e-%02d" % -e, np.uint8)
-    rows = np.empty_like(laid)
-    rows[order] = laid
-    rows[cols - 1::cols, -1] = ord("\n")
-    out = rows[keep].tobytes()
+    rows = digits
+    rows.view(_ROW).ravel()[order] = laid.view(_ROW).ravel()
+    return rows
 
-    bad = np.flatnonzero(by_python)
-    if not bad.size:
+
+def _text(x: np.ndarray, cols: int) -> tuple[bytes, list[bytes]]:
+    """The CSV text of x with a byte 1 in place of each value that Python
+    formats, and Python's text of those values."""
+    by_python, X, li, rows = _digit_rows(x)
+    rows = _lay_out(rows, X)
+    rows[:, 0] = ord("-")
+    rows[by_python, 0] = 1
+    rows[:, -1] = ord(",")
+    rows[cols - 1::cols, -1] = ord("\n")
+    code = ((X.astype(np.int16) - _X0) * 17 + li) * 2 + (x < 0)
+    code[by_python] = len(_KEEP) - 1
+    out = rows[_KEEP.take(code, axis=0)].tobytes()
+    return out, [b"%.17g" % v for v in x[by_python].tolist()]
+
+
+def g17_rows(block: np.ndarray) -> bytes:
+    """The %.17g CSV rows of a 2-D block, ',' between columns."""
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    if not x.size:
+        return b""
+    out, python_text = _text(x, block.shape[1])
+    if not python_text:
         return out
-    ends = np.cumsum(keep.sum(axis=1))
-    pieces, start = [], 0
-    for i, v in zip(bad.tolist(), x[bad].tolist()):
-        cut = int(ends[i]) - 1              # before the value's separator
-        pieces += [out[start:cut], b"%.17g" % v]
-        start = cut
-    pieces.append(out[start:])
-    return b"".join(pieces)
+    parts = out.split(b"\1")
+    joined = [b""] * (2 * len(parts) - 1)
+    joined[::2] = parts
+    joined[1::2] = python_text
+    return b"".join(joined)

@@ -200,9 +200,10 @@ def _summary_text(cfg: RunConfig, results: dict) -> str:
     return buf.getvalue()
 
 
-# Rows stacked and turned into text per block.  At 512 rows a block's
-# temporaries take about 1 MB, which keeps the writer below the peak that
-# the es run sets before it.
+# Rows stacked and turned into text per block.  On a 512-row block of the
+# 11-column es trace, g17_rows peaks at about 75 bytes per value (0.42 MB,
+# the returned text included; tracemalloc), against about 20 bytes of text
+# per value; tests/test_blocks.py bounds it at 120.
 CSV_BLOCK_ROWS = 512
 
 
@@ -308,6 +309,8 @@ def _es_params(cfg: RunConfig) -> esc.EsParams:
     delay_id = prm["delay"]
     if not math.isfinite(prm["tail_start"]):
         raise UsageError("--tail-start must be finite")
+    if prm["pde_grid"] < 0:
+        raise UsageError("--pde-grid must be 0 (no transport view) or positive")
     with _bad_arguments():
         if delay_id == "sin5sq":
             delay_fn, delay_grad = esc.sin5sq_delay, esc.sin5sq_delay_grad

@@ -382,9 +382,9 @@ SIGMA_TOL = 1e-10
 SIGMA_MAX_EXPAND = 8
 
 
-def _blocks(n: int):
-    """Slices covering range(n) in steps of BLOCK_ROWS."""
-    for lo in range(0, n, BLOCK_ROWS):
+def _blocks(n: int, start: int = 0):
+    """Slices covering range(start, n) in steps of BLOCK_ROWS."""
+    for lo in range(start, n, BLOCK_ROWS):
         yield slice(lo, min(lo + BLOCK_ROWS, n))
 
 
@@ -482,16 +482,25 @@ def prediction_times(p: EsParams, trace: EsTrace) -> np.ndarray:
 
 
 def tail_metrics(trace: EsTrace, tail_start: float) -> dict:
-    """Max deviations |theta - theta*|, |y - y*|, |U| for t >= tail_start."""
+    """Max deviations |theta - theta*|, |y - y*|, |U| for t >= tail_start.
+
+    The tail is the slice of the (increasing) times from tail_start on, and
+    each maximum is taken one block at a time; a nan in the tail gives nan.
+    """
     p = trace.params
-    mask = trace.times >= tail_start
-    if not mask.any():
+    n = len(trace.times)
+    start = int(np.searchsorted(trace.times, tail_start))
+    if start == n:
         raise ValueError(f"empty tail: no samples at or after {tail_start}")
-    return {
-        "theta_err": float(np.max(np.abs(trace.theta[mask] - p.theta_star))),
-        "y_err": float(np.max(np.abs(trace.y[mask] - p.y_star))),
-        "u_abs": float(np.max(np.abs(trace.U[mask]))),
-    }
+    out = {}
+    for key, col, ref in (("theta_err", trace.theta, p.theta_star),
+                          ("y_err", trace.y, p.y_star), ("u_abs", trace.U, 0.0)):
+        worst = -np.inf
+        for sl in _blocks(n, start):
+            dev = col[sl] - ref
+            worst = np.maximum(worst, np.max(np.abs(dev, out=dev)))
+        out[key] = float(worst)
+    return out
 
 
 @dataclass

@@ -27,7 +27,9 @@ The extremum-seeking oracles recompute, from a finished trace, the delayed
 output, the prediction time and the predictor integral at a single time.
 They read the trace through EsTrace.theta_at and np.interp only, so they
 share no arithmetic with the running loop in esc.step or with the
-vectorised inversion in esc.prediction_times.
+vectorised inversion in esc.prediction_times.  The tail-metrics oracle is
+the whole-trace boolean-mask rule that esc.tail_metrics replaced with a
+blocked reduction over the slice of the tail.
 """
 
 from __future__ import annotations
@@ -295,3 +297,17 @@ def predictor_integral(p, trace, t: float) -> float:
     integrand = u / dn
     h_now = float(np.interp(t, ts, trace.H_hat))
     return h_now * float(np.trapezoid(integrand, nodes))
+
+
+def tail_metrics_by_mask(trace, tail_start: float) -> dict:
+    """Max deviations |theta - theta*|, |y - y*|, |U| over the samples with
+    t >= tail_start, each taken at once through a boolean mask."""
+    p = trace.params
+    mask = trace.times >= tail_start
+    if not mask.any():
+        raise ValueError(f"empty tail: no samples at or after {tail_start}")
+    return {
+        "theta_err": float(np.max(np.abs(trace.theta[mask] - p.theta_star))),
+        "y_err": float(np.max(np.abs(trace.y[mask] - p.y_star))),
+        "u_abs": float(np.max(np.abs(trace.U[mask]))),
+    }

@@ -87,6 +87,7 @@ def test_unknown_flag_is_usage_error():
     ["integrate", "--levels", "2.5"],
     ["integrate", "--levels", "0.5"],
     ["es", "--pde-grid", "2.5", "--t-end", "1"],
+    ["es", "--preset", "table1", "--t-end", "1", "--pde-grid", "-3"],
     ["es", "--predictor", "maybe", "--t-end", "1"],
     ["es", "--preset", "tablex", "--t-end", "1"],
     ["es", "--delay", "const:abc", "--t-end", "1"],
@@ -176,6 +177,7 @@ def test_es_roundtrip_bit_identical(tmp_path, monkeypatch, capsys):
                  "--pde-grid", "0", "--out", "a"]) == 0
     assert main(["es", "--config", "a_summary.txt", "--out", "b"]) == 0
     assert Path("a_trace.csv").read_bytes() == Path("b_trace.csv").read_bytes()
+    assert not Path("a_pde.csv").exists()           # pde_grid = 0: no view
 
 
 def test_es_feasibility_maps_to_exit_one(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,10 @@
 """The numpy %.17g kernel writes exactly the bytes Python's formatter does.
 
-Hypothesis draws floats and raw 64-bit patterns; the explicit cases are the
-places an integer path can go wrong: exact half-way ties (round half to
-even), both neighbours of every power of ten in and around the kernel's
-range, the range edges, and the values Python formats itself.
+Hypothesis draws floats, raw 64-bit patterns and whole blocks of many
+columns; the explicit cases are the places an integer path can go wrong:
+exact half-way ties (round half to even), both neighbours of every power of
+ten in and around the kernel's range, the range edges, and the values Python
+formats itself.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from measurefde import cli, esc
 from measurefde._g17 import g17_rows
@@ -40,6 +42,33 @@ def test_matches_formatter_on_floats(values):
 @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
 def test_matches_formatter_on_bit_patterns(patterns):
     _assert_exact(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+@st.composite
+def _blocks(draw):
+    """1-64 rows of 1-11 columns: |x| log-uniform from 1e-12 to 1e16 around
+    the kernel's range, with subnormals, zeros, nan and infinities mixed in,
+    each value of either sign."""
+    shape = draw(st.tuples(st.integers(1, 64), st.integers(1, 11)))
+
+    def values(elements, dtype=np.float64):
+        return draw(arrays(dtype, shape, elements=elements))
+
+    block = 10.0 ** values(st.floats(-12.0, 16.0))
+    kind = values(st.sampled_from(("magnitude",) * 4
+                                  + ("subnormal", "zero", "nan", "inf")), "U9")
+    subnormal = values(st.floats(5e-324, 2.225073858507201e-308))
+    block[kind == "subnormal"] = subnormal[kind == "subnormal"]
+    block[kind == "zero"] = 0.0
+    block[kind == "nan"] = math.nan
+    block[kind == "inf"] = math.inf
+    return np.where(values(st.booleans(), bool), -block, block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks())
+def test_matches_formatter_on_blocks(block):
+    _assert_exact(block.ravel(), cols=block.shape[1])
 
 
 def test_exact_ties_round_half_to_even():

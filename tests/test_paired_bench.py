@@ -1,5 +1,6 @@
-"""The summary of scripts/paired_bench.py on synthetic samples; no
-benchmark run is started."""
+"""The summary of scripts/paired_bench.py on synthetic samples, and its
+check that both checkouts run the same benchmark code; no benchmark run is
+started."""
 
 import importlib.util
 import json
@@ -124,7 +125,8 @@ def test_one_table_holds_every_workload():
 
 def test_main_runs_each_workload_in_turn_and_fails_on_a_failed_run(
         tmp_path, monkeypatch, capsys):
-    spec = {**SPEC, "end_to_end": METRICS[:1], "command": [], "run_seconds": 1}
+    spec = {**SPEC, "end_to_end": METRICS[:1], "command": [], "run_seconds": 1,
+            "paths": ["perfbench"]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     calls = []
 
@@ -143,3 +145,42 @@ def test_main_runs_each_workload_in_turn_and_fails_on_a_failed_run(
     calls.clear()
     assert paired_bench.main(argv + ["--workload", "mfde_tanh"]) == 0
     assert calls == ["mfde_tanh"] * 2
+
+
+def _checkout(root: Path, files: dict) -> Path:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+PATHS = ["perfbench", "bench.cfg"]
+BENCH = {"BENCHMARK.json": json.dumps({"paths": PATHS}),
+         "perfbench/run.py": "run", "perfbench/sub/w.py": "w",
+         "bench.cfg": "cfg", "src/m.py": "m"}
+
+
+@pytest.mark.parametrize("edit, differ", [
+    ({}, []),
+    ({"src/m.py": "changed", "perfbench/__pycache__/run.pyc": "x",
+      "perfbench/sub/__pycache__/w.pyc": "y"}, []),
+    ({"perfbench/run.py": "changed"}, ["perfbench/run.py"]),
+    ({"perfbench/sub/new.py": "n"}, ["perfbench/sub/new.py"]),
+    ({"bench.cfg": "changed"}, ["bench.cfg"]),
+])
+def test_benchmark_differences_between_checkouts(tmp_path, edit, differ):
+    parent = _checkout(tmp_path / "parent", BENCH)
+    change = _checkout(tmp_path / "change", {**BENCH, **edit})
+    assert paired_bench.benchmark_differences(parent, change, PATHS) == differ
+    # with the sides swapped, a file that only the parent has
+    assert paired_bench.benchmark_differences(change, parent, PATHS) == differ
+
+
+def test_main_refuses_a_pair_with_different_benchmarks(tmp_path, monkeypatch,
+                                                         capsys):
+    parent = _checkout(tmp_path / "parent", BENCH)
+    change = _checkout(tmp_path / "change", {**BENCH, "perfbench/run.py": "other"})
+    monkeypatch.setattr(paired_bench, "run_once",
+                        lambda *a: pytest.fail("a run started"))
+    assert paired_bench.main(["--parent", str(parent), "--change", str(change)]) == 2
+    assert "perfbench/run.py" in capsys.readouterr().err
