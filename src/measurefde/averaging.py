@@ -143,16 +143,12 @@ def _shift_pair(p: AvgProblem, rng: random.Random, x: Trajectory):
 
 
 def history_gap_norm(a: RegulatedFn, b: RegulatedFn, weight: Weight) -> float:
-    """Weighted sup norm of the pointwise difference of two histories."""
+    """Weighted sup norm of the difference of two histories, tails included."""
+    tail = weight.tail_sup(a.tail_value - b.tail_value)
     lo = min(a.window_start, b.window_start)
     grid = _union(a.thetas, b.thetas, np.linspace(lo, 0.0, 257))
-    va = np.atleast_2d(a.eval(grid))
-    vb = np.atleast_2d(b.eval(grid))
-    ratios = np.linalg.norm(va - vb, axis=1) / weight.rho(grid)
-    best = float(np.max(ratios))
-    if weight.kind == "constant_one":
-        best = max(best, float(np.linalg.norm(a.tail_value - b.tail_value)))
-    return best
+    ratios = np.linalg.norm(a.eval(grid) - b.eval(grid), axis=1) / weight.rho(grid)
+    return max(float(np.max(ratios)), tail)
 
 
 def check_problem(p: AvgProblem, n_samples: int = 12,
@@ -215,7 +211,7 @@ def make_averaged_rule(p: AvgProblem, n_panels: int = 64):
     between the jump times of h on [0, T); the jump at 0 belongs to the
     period, the jump at T does not.
     """
-    cuts = [0.0] + [t for t, _ in p.h.jumps if 0.0 < t < p.T] + [p.T]
+    cuts = p.h.cuts(0.0, p.T)
     nodes = []
     weights = []
     for a, b in zip(cuts, cuts[1:]):
@@ -401,7 +397,7 @@ def estimate_constants(p: AvgProblem, n_samples: int = 40, seed: int = 0) -> dic
             C3 = max(C3, d3)
     return {"M": M * 1.5 + 1e-6, "C": C * 1.5 + 1e-6, "C2": C2 * 1.5 + 1e-6,
             "C3": C3 * 1.5 + 1e-6, "C4": C4 * 1.5 + 1e-6,
-            "Kp": p.weight.shift_growth(1.0) if p.weight.kind == "exp_pos" else 1.0}
+            "Kp": p.weight.shift_growth(1.0)}
 
 
 def linear_periodic_problem(a0: float = 1.0, b0: float = 1.0, phi_c: float = 1.0,

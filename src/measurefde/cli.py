@@ -136,7 +136,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str, subcommand: str) -> dict:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.optionxform = str  # keys are case sensitive (L vs l)
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"cannot parse config file {path!r}: {exc}") from exc
     if not read:
         raise UsageError(f"cannot read config file {path!r}")
     if not cp.has_section(subcommand):

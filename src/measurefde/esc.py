@@ -164,15 +164,16 @@ class EsTrace:
         """theta(t) with the probing extension theta_hat0 + a sin(omega t)
         for t <= 0 and a frozen value beyond the end of the trace."""
         p = self.params
-        tq = np.asarray(t, dtype=float)
-        scalar = tq.ndim == 0
-        tq = np.atleast_1d(tq)
-        out = np.empty_like(tq)
+        tq = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.interp(tq, self.times, self.theta)
         past = tq <= 0.0
         out[past] = p.theta_hat0 + p.a * np.sin(p.omega * tq[past])
-        live = ~past
-        out[live] = np.interp(tq[live], self.times, self.theta)
-        return float(out[0]) if scalar else out
+        return float(out[0]) if np.ndim(t) == 0 else out
+
+    def phi_at(self, s: np.ndarray) -> np.ndarray:
+        """The delayed time s - D(theta(s)) at times s >= 0."""
+        th = np.interp(s, self.times, self.theta)
+        return s - np.asarray(self.params.delay_fn(th), dtype=float)
 
 
 def static_map(p: EsParams, theta):
@@ -226,11 +227,11 @@ class SimState:
         self.y_bar = None
         for name in ("theta", "y", "G", "H_hat", "U_arr", "Gamma",
                      "phi", "margin", "integrand", "ctrap"):
-            setattr(self, name, array("d", bytes(8 * n1)))
+            setattr(self, name, array("d", [0.0]) * n1)
         self.m_window = _period_steps(p)
         ring = min(self.m_window, self.n_steps + 2) + 1
-        self.cum_g = array("d", bytes(8 * ring))
-        self.cum_h = array("d", bytes(8 * ring))
+        self.cum_g = array("d", [0.0]) * ring
+        self.cum_h = array("d", [0.0]) * ring
         self.aborted = False
         self.abort_reason = ""
 
@@ -427,23 +428,19 @@ def _finalize(p: EsParams, state: SimState, n_have: int) -> EsTrace:
 def prediction_times(p: EsParams, trace: EsTrace) -> np.ndarray:
     """Vectorised inversion of the delayed time over the whole trace.
 
-    sigma(t) is the bisection's crossing of phi(s) = t inside the bracket
-    [t, t + k (max D so far + 1)]; where the delay rate reaches 1, phi is not
-    monotone and several crossings may exist.  theta is extended past the
-    end of the trace by its final value, which keeps the bracket well
-    defined near t_end.  The work runs in blocks of BLOCK_ROWS times; the
-    bisection count comes from the widest bracket over the whole trace, so
-    sigma does not depend on the block size.
+    sigma(t) is the bisection's crossing of trace.phi_at(s) = t (p is
+    trace.params) inside the bracket [t, t + k (max D so far + 1)]; where the
+    delay rate reaches 1, phi is not monotone and several crossings may
+    exist.  theta is extended past the end of the trace by its final value,
+    which keeps the bracket well defined near t_end.  The work runs in blocks
+    of BLOCK_ROWS times; the bisection count comes from the widest bracket
+    over the whole trace, so sigma does not depend on the block size.
     """
     ts = trace.times
     n = len(ts)
     out = np.empty(n)
     if n == 0:
         return out
-
-    def phi_of(s):
-        th = np.interp(s, ts, trace.theta)
-        return s - np.asarray(p.delay_fn(th), dtype=float)
 
     # first pass: close each bracket and keep its upper end in `out`
     d_max = -np.inf
@@ -455,7 +452,7 @@ def prediction_times(p: EsParams, trace: EsTrace) -> np.ndarray:
         d_max = d_run[-1]
         hi = t_blk + d_run + 1.0
         for _ in range(SIGMA_MAX_EXPAND):
-            short = phi_of(hi) < t_blk
+            short = trace.phi_at(hi) < t_blk
             if not short.any():
                 break
             hi[short] += d_run[short] + 1.0
@@ -471,7 +468,7 @@ def prediction_times(p: EsParams, trace: EsTrace) -> np.ndarray:
         lo, hi = t_blk, out[sl]
         for _ in range(n_iter):
             mid = 0.5 * (lo + hi)
-            below = phi_of(mid) < t_blk
+            below = trace.phi_at(mid) < t_blk
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         out[sl] = 0.5 * (lo + hi)
@@ -517,7 +514,7 @@ def transport_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 21) -> PdeDiag:
     The stored alpha matrix is decimated in time to at most about 400 rows;
     the boundary identities alpha(1, t) = theta(t) and
     alpha(0, t) = theta(t - D(theta(t))) are evaluated at every stored time
-    and the worst violation is reported.
+    and the worst violation is reported; phi is trace.phi_at (p is trace.params).
     """
     stride = max(1, len(trace.times) // 400)
     idx = np.arange(0, len(trace.times), stride)
@@ -526,17 +523,13 @@ def transport_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 21) -> PdeDiag:
     xs = np.linspace(0.0, 1.0, n_x)
     alpha = np.empty((len(ts), n_x))
     for col, x in enumerate(xs):
-        s = ts + x * (sg - ts)
-        phi_s = s - np.asarray(p.delay_fn(trace.theta_at(s)), dtype=float)
-        alpha[:, col] = trace.theta_at(phi_s)
+        alpha[:, col] = trace.theta_at(trace.phi_at(ts + x * (sg - ts)))
 
     # inflow boundary via the prediction-time inversion, on the full grid
     err1 = 0.0
     for sl in _blocks(len(trace.times)):
-        sg = trace.sigma_t[sl]
-        phi_of_sigma = sg - np.asarray(p.delay_fn(trace.theta_at(sg)), dtype=float)
-        err1 = np.maximum(err1, np.max(np.abs(trace.theta_at(phi_of_sigma)
-                                              - trace.theta[sl])))
+        alpha_1 = trace.theta_at(trace.phi_at(trace.sigma_t[sl]))
+        err1 = np.maximum(err1, np.max(np.abs(alpha_1 - trace.theta[sl])))
     err1 = float(err1)
     # outflow boundary against the trace's own delayed time, decimated grid
     err0 = float(np.max(np.abs(alpha[:, 0] - trace.theta_at(trace.phi_t[idx]))))

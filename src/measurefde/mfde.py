@@ -20,7 +20,7 @@ import numpy as np
 
 from .phase_space import EXP_WEIGHT, RegulatedFn, Weight, _hits
 from .phase_space import segment  # unused here: perfbench/tracer.py:177 patches mfde.segment
-from .stieltjes import Integrator, _sample
+from .stieltjes import Integrator, _sample, _simpson_rule
 from .trajectory import Trajectory, _HistoryView
 
 # history points read per batched evaluation of rho_delay and f, which sizes
@@ -375,35 +375,22 @@ KERNEL_H = 0.0125    # widest Simpson half panel of the kernel rules
 MEMO_SIZE = 2 ** 16
 
 
-def _kernel(theta):
-    th = np.asarray(theta, dtype=float)
-    return np.exp(-th * th + th)
+def _kernel(theta: np.ndarray) -> np.ndarray:
+    out = theta * theta
+    np.subtract(theta, out, out=out)
+    return np.exp(out, out=out)
 
 
 def _lag_rules(t: np.ndarray, max_h: float,
                cols: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Simpson on [-KERNEL_CUTOFF, -t] for each t, at most max_h
-    per half panel, as nodes and kernel-weighted weights: one row per t,
-    padded to at least cols nodes with zero-weight nodes at -t (all of them
-    when t >= the cutoff)."""
-    b = -t
-    width = np.maximum(b + KERNEL_CUTOFF, 0.0)
-    twice = [2 * max(1, math.ceil(w / (2.0 * max_h))) for w in width.tolist()]
-    ends = np.array(twice, dtype=float)[:, None]
-    j = np.arange(max(max(twice) + 1.0, float(cols)))
-    step = width[:, None] / ends
-    nodes = j * step
-    nodes -= KERNEL_CUTOFF
-    np.minimum(nodes, b[:, None], out=nodes)
-    simpson = np.full(len(j), 2.0)
-    simpson[1::2] = 4.0
-    simpson[0] = 1.0
-    weights = simpson * (j <= ends)
-    weights[np.arange(len(twice)), twice] = 1.0
-    weights *= step / 3.0
-    kernel = nodes * nodes  # exp(-theta^2 + theta), as _kernel
-    np.subtract(nodes, kernel, out=kernel)
-    weights *= np.exp(kernel, out=kernel)
+    """stieltjes._simpson_rule on [-KERNEL_CUTOFF, -t] for each t, at most
+    max_h per half panel, with the kernel folded into the weights: one row
+    per t, padded to at least cols nodes with zero-weight nodes at -t (all
+    of them when t >= the cutoff)."""
+    width = np.maximum(KERNEL_CUTOFF - t, 0.0)
+    panels = [max(1, math.ceil(w / (2.0 * max_h))) for w in width.tolist()]
+    nodes, weights = _simpson_rule(-KERNEL_CUTOFF, -t, np.array(panels), cols)
+    weights *= _kernel(nodes)
     return nodes, weights
 
 

@@ -173,6 +173,14 @@ class Weight:
         th = np.asarray(theta, dtype=float)
         return np.exp(th) if self.kind == "exp_pos" else np.ones_like(th)
 
+    def tail_sup(self, tail) -> float:
+        """The tail's share of the weighted sup norm: |tail| for the flat
+        weight, 0 for exp(theta), under which a nonzero tail has none."""
+        size = float(np.linalg.norm(tail))
+        if self.kind == "exp_pos" and size > 0.0:
+            raise InfiniteNormError("exp weight requires a zero tail value")
+        return size if self.kind == "constant_one" else 0.0
+
     def shift_growth(self, t: float) -> float:
         """Default bound constant sup k3 style growth for this weight."""
         return math.exp(t) if self.kind == "exp_pos" else 1.0
@@ -186,13 +194,10 @@ def phase_norm(phi: RegulatedFn, weight: Weight = EXP_WEIGHT) -> float:
     """Weighted sup norm over the window, exact at the samples and refined
     between them on 64 points per jump-free piece.
 
-    For the exponential weight the tail must be zero (otherwise the sup over
-    theta -> -inf diverges); the flat weight includes the tail value.
+    The tail enters as Weight.tail_sup rules: the flat weight includes it,
+    and the exponential weight raises InfiniteNormError unless it is zero.
     """
-    tail_norm = float(np.linalg.norm(phi.tail_value))
-    if weight.kind == "exp_pos" and tail_norm > 0.0:
-        raise InfiniteNormError("exp weight requires a zero tail value")
-    best = tail_norm if weight.kind == "constant_one" else 0.0
+    best = weight.tail_sup(phi.tail_value)
     for thetas, values in phi.segments:
         pts = _union(thetas, np.linspace(thetas[0], thetas[-1], 64))
         vals = np.stack([np.interp(pts, thetas, col) for col in values.T], axis=1)

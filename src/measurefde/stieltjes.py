@@ -87,6 +87,10 @@ class Integrator:
         """Jumps with a <= tau < b (the ownership convention for [a, b])."""
         return [(t, m) for t, m in self.jumps if a <= t < b]
 
+    def cuts(self, a: float, b: float) -> list[float]:
+        """a, the jump times strictly inside (a, b), and b: Simpson's cuts."""
+        return [a, *(t for t, _ in self.jumps if a < t < b), b]
+
     def value_at(self, t: float) -> float:
         """g(t): :meth:`values_at` at one point."""
         return float(self.values_at(np.array([t]))[0])
@@ -121,15 +125,15 @@ def _simpson_density(density, a: float, b: float) -> float:
         return 0.0
     if b < a:
         return -_simpson_density(density, b, a)
-    n = max(1, int(math.ceil((b - a) / PANEL)))
     return sum(float(np.dot(w, _sample(density, xs)))
-               for xs, w in _simpson_blocks(a, b, n))
+               for xs, w in _simpson_blocks(a, b, PANEL))
 
 
-def _simpson_blocks(a: float, b: float, n: int):
-    """Composite Simpson nodes and weights for n panels on [a, b], yielded in
-    blocks of at most CHUNK_PANELS panels, so memory does not grow with
-    b - a; n <= CHUNK_PANELS yields exactly ``_simpson_rule(a, b, n)``."""
+def _simpson_blocks(a: float, b: float, panel: float):
+    """Composite Simpson nodes and weights on [a, b], panels at most panel
+    wide, yielded in blocks of at most CHUNK_PANELS panels, so memory does
+    not grow with b - a; a single block is ``_simpson_rule(a, b, n)``."""
+    n = max(1, int(math.ceil((b - a) / panel)))
     for k0 in range(0, n, CHUNK_PANELS):
         k1 = min(k0 + CHUNK_PANELS, n)
         lo = a if k0 == 0 else a + (b - a) * (k0 / n)
@@ -137,14 +141,29 @@ def _simpson_blocks(a: float, b: float, n: int):
         yield _simpson_rule(lo, hi, k1 - k0)
 
 
-def _simpson_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Simpson nodes on [a, b] with their weights, h/3 included."""
-    xs = np.linspace(a, b, 2 * panels + 1)
-    w = np.ones(len(xs))
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (b - a) / (2 * panels) / 3.0
-    return xs, w
+def _simpson_rule(a, b, panels, cols: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one composite Simpson builder: nodes a + j h on [a, b],
+    j = 0 .. 2 panels, the last at b exactly as np.linspace places it, and
+    their weights, h/3 included.  Floats give one rule as 1-d arrays; arrays
+    of ends and panel counts give one row each, padded to at least cols
+    nodes with zero-weight nodes at b.  An empty interval gets zero weights."""
+    one = np.ndim(a) == np.ndim(b) == np.ndim(panels) == 0
+    lo, hi = np.atleast_1d(a), np.atleast_1d(b)
+    twice = 2 * np.atleast_1d(panels)
+    step = np.maximum(hi - lo, 0.0) / twice
+    j = np.arange(max(int(twice.max()) + 1, cols))
+    nodes = j * step[:, None]
+    nodes += lo[:, None]
+    np.minimum(nodes, hi[:, None], out=nodes)
+    rows = np.arange(len(twice))
+    nodes[rows, twice] = hi
+    weights = np.full(len(j), 2.0)
+    weights[1::2] = 4.0
+    weights[0] = 1.0
+    weights = weights * (j <= twice[:, None])
+    weights[rows, twice] = 1.0
+    weights *= step[:, None] / 3.0
+    return (nodes[0], weights[0]) if one else (nodes, weights)
 
 
 def _sample(fn, xs: np.ndarray) -> np.ndarray:
@@ -197,10 +216,7 @@ def integrate(f: Callable[[float], object], g: Integrator, a: float, b: float,
     total = np.zeros_like(probe)
     if a == b:
         return total
-    cuts = {a, b}
-    cuts.update(t for t, _ in g.jumps if a < t < b)
-    cuts.update(t for t in breakpoints if a < t < b)
-    pts = sorted(cuts)
+    pts = sorted({*g.cuts(a, b), *(t for t in breakpoints if a < t < b)})
     for u, v in zip(pts, pts[1:]):
         total += _simpson_segment(f, g.density, u, v, panel)
     for tau, mag in g.jumps_in(a, b):
@@ -215,7 +231,7 @@ def _simpson_segment(f, density, a: float, b: float, panel: float) -> np.ndarray
     # at least, so the nudge still moves the end far from t = 0
     nudge = max(1e-13, 1e-12 * (b - a), 4.0 * math.ulp(max(abs(a), abs(b))))
     total = 0.0
-    for xs, w in _simpson_blocks(a, b, max(1, int(math.ceil((b - a) / panel)))):
+    for xs, w in _simpson_blocks(a, b, panel):
         pts = xs.tolist()
         if pts[0] == a:
             pts[0] = a + nudge
@@ -241,7 +257,7 @@ def refine_ladder(f, g: Integrator, a: float, b: float, levels: int,
     out = []
     for level in range(levels):
         n = n0 * (2 ** level)
-        div = _union(np.linspace(a, b, n + 1), [t for t, _ in g.jumps if a < t < b])
+        div = _union(np.linspace(a, b, n + 1), g.cuts(a, b))
         gv = g.values_at(div)
         tags = div[:-1]
         fx = np.stack([_as_vec(f(float(t))) for t in tags])
@@ -273,8 +289,7 @@ def check_gronwall(psi: Callable[[float], float], k: float, l: float,
     A hypothesis failure downgrades the report instead of failing it: the
     implication is vacuous there.
     """
-    grid = _union(np.linspace(a, b, GRONWALL_GRID),
-                  [t for t, _ in g.jumps if a < t < b])
+    grid = _union(np.linspace(a, b, GRONWALL_GRID), g.cuts(a, b))
     psi_vals = np.array([float(psi(float(x))) for x in grid])
     if np.any(psi_vals < 0):
         raise ValueError("psi must be nonnegative")

@@ -12,12 +12,14 @@ from measurefde import cli
 from measurefde.averaging import (AvgConditionError, _one_row, _original_problem,
                                   _random_extension, _slope,
                                   check_problem, compare, error_constant,
-                                  estimate_constants, linear_periodic_problem,
+                                  estimate_constants, history_gap_norm,
+                                  linear_periodic_problem,
                                   make_averaged_rule, sine_problem,
                                   solve_averaged, solve_original,
                                   sup_difference)
 from measurefde.mfde import HypothesisViolationError, residual
-from measurefde.phase_space import RegulatedFn
+from measurefde.phase_space import (EXP_WEIGHT, UNIFORM_WEIGHT, InfiniteNormError,
+                                    RegulatedFn, phase_norm)
 from measurefde.stieltjes import Integrator
 
 UNIT_CONSTS = {k: 1.0 for k in ("C", "C2", "C3", "C4", "M", "Kp")}
@@ -202,6 +204,25 @@ def test_estimate_constants_cover_sampled_data():
     assert est["M"] > 0 and est["Kp"] == 1.0
 
 
+def test_gap_norm_reads_the_tail_as_phase_norm():
+    # histories equal on their window whose tails differ: under exp(theta)
+    # the weighted distance is infinite, under the flat weight it is 1
+    a = RegulatedFn.constant(1.0, window_start=-1.0, tail_value=1.0)
+    b = RegulatedFn.constant(1.0, window_start=-1.0, tail_value=0.0)
+    diff = RegulatedFn.constant(0.0, window_start=-1.0, tail_value=1.0)
+    for norm in (lambda: history_gap_norm(a, b, EXP_WEIGHT),
+                 lambda: phase_norm(diff, EXP_WEIGHT)):
+        with pytest.raises(InfiniteNormError):
+            norm()
+    assert history_gap_norm(a, b, UNIFORM_WEIGHT) == phase_norm(diff, UNIFORM_WEIGHT) == 1.0
+
+
+def test_estimate_constants_kp_is_the_weights_shift_growth():
+    for weight, kp in ((EXP_WEIGHT, math.e), (UNIFORM_WEIGHT, 1.0)):
+        p = replace(linear_periodic_problem(), consts={}, weight=weight)
+        assert estimate_constants(p, n_samples=2, seed=0)["Kp"] == kp
+
+
 def state_lagged(s, psi, eps):
     """A delay that reads the history, so that the sampled shift pairs of
     the checks see it move."""
@@ -312,6 +333,17 @@ def test_compare_two_eps_order_one():
     for eps, err, bound, ok, _ in rep.rows():
         assert err <= bound
         assert ok
+
+
+def test_compare_estimates_a_missing_constant():
+    # C3 left out: compare fills it from estimate_constants and says so
+    p = linear_periodic_problem(L=0.5)
+    consts = {k: v for k, v in p.consts.items() if k != "C3"}
+    rep = compare(replace(p, consts=consts), [0.2, 0.1])
+    assert rep.estimate_based
+    c3 = estimate_constants(replace(p, consts=consts))["C3"]
+    assert rep.theoretical_J == error_constant(replace(p, consts={**consts, "C3": c3}))
+    assert not compare(p, [0.2, 0.1]).estimate_based
 
 
 distinct_xs = st.lists(st.integers(-1000, 1000), min_size=2, max_size=8, unique=True)

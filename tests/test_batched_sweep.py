@@ -135,18 +135,19 @@ def test_batched_view_reads_rows_and_right_limits():
 
 
 def test_tanh_lag_rules_are_simpson_rows():
-    # one zero-padded row per t, each the composite Simpson rule on
-    # [-6, -t] with the kernel folded into the weights
+    # one zero-padded row per t, each bit for bit the single composite
+    # Simpson rule on [-6, -t], at most 0.0125 per half panel, with the
+    # kernel folded into the weights
     t = np.array([0.0, 0.013, 0.4, 2.0, 5.99, 6.0, 9.0])
     nodes, weights = _lag_rules(t, 0.0125)
     for i, ti in enumerate(t):
         if ti >= 6.0:
-            assert not weights[i].any()
+            assert not weights[i].any() and np.all(nodes[i] == -ti)
             continue
         xs, w = _simpson_rule(-6.0, -ti, max(1, math.ceil((6.0 - ti) / 0.025)))
         k = len(xs)
-        assert np.max(np.abs(nodes[i, :k] - xs)) <= 1e-15
-        assert np.max(np.abs(weights[i, :k] - _kernel(xs) * w)) <= 1e-17
+        assert nodes[i, :k].tobytes() == xs.tobytes() and nodes[i, k - 1] == -ti
+        assert weights[i, :k].tobytes() == (w * _kernel(xs)).tobytes()
         assert not weights[i, k:].any() and np.all(nodes[i, k:] == -ti)
 
 

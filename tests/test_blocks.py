@@ -148,11 +148,13 @@ def _es_peak_bytes(t_end: float, out: str) -> int:
 
 def test_es_run_memory_per_trace_row(tmp_path):
     # 10001 and 30001 rows: both past one full block, so the difference is
-    # what the trace itself costs; 11 output columns plus the loop's buffers
+    # what the trace itself costs; 11 output columns plus the loop's buffers,
+    # which array("d", [0.0]) * n sizes exactly (11.38 measured; 11.88 with
+    # the 1/16 over-allocation of array("d", bytes(8 * n)))
     peak_20 = _es_peak_bytes(20.0, str(tmp_path / "a"))
     peak_60 = _es_peak_bytes(60.0, str(tmp_path / "b"))
     per_row = (peak_60 - peak_20) / (8 * (30001 - 10001))
-    assert per_row <= 12.0
+    assert per_row <= 11.5
 
 
 def test_es_run_peak_above_its_trace_columns(tmp_path):

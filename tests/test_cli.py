@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import measurefde
+from measurefde import averaging, cli, esc, mfde, stieltjes
 from measurefde.cli import (CSV_BLOCK_ROWS, _es_params, _write_csv, main,
                             parse_args)
 
@@ -91,6 +92,16 @@ def test_unknown_flag_is_usage_error():
     ["es", "--predictor", "maybe", "--t-end", "1"],
     ["es", "--preset", "tablex", "--t-end", "1"],
     ["es", "--delay", "const:abc", "--t-end", "1"],
+    ["mfde", "--jumps", "0.5", "--sigma", "1"],
+    ["mfde", "--jumps", "0.5:0.1:2", "--sigma", "1"],
+    ["avg", "--eps", ","],
+    ["avg", "--eps", "0.1,abc"],
+    ["mfde", "--sigma", "abc"],
+    ["mfde", "--config", "no_such_file.ini"],
+    ["mfde", "--config", os.devnull],
+    ["avg", "--eps", "0.3"],
+    ["avg", "--eps", "0.1,0"],
+    ["es", "--delay", "cubic", "--t-end", "1"],
 ], ids=" ".join)
 def test_bad_argument_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -107,6 +118,35 @@ def test_seed_key_is_not_accepted(tmp_path, monkeypatch, capsys):
     assert main(["mfde", "--config", "old_summary.txt", "--out", "x"]) == 2
     assert main(["mfde", "--seed", "0", "--out", "x"]) == 2
     assert [f.name for f in tmp_path.iterdir()] == ["old_summary.txt"]
+
+
+def test_malformed_config_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.ini").write_text("[mfde]\nsigma 0.3\n")
+    Path("twice.ini").write_text("[mfde]\nsigma = 0.3\nsigma = 0.4\n")
+    for name in ("bad.ini", "twice.ini"):
+        assert main(["mfde", "--config", name, "--out", "x"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("usage error") and name in err and not out
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bad.ini", "twice.ini"]
+
+
+@pytest.mark.parametrize("error", [
+    mfde.ConvergenceError("no convergence", 1e-3),
+    mfde.HypothesisViolationError("delay ahead"),
+    averaging.AvgConditionError("aperiodic"),
+    esc.AssumptionViolationError("no bracket"),
+    stieltjes.IntegrandError("nan sample"),
+    stieltjes.IntegratorDomainError("nan density"),
+], ids=lambda e: type(e).__name__)
+def test_typed_numerical_error_is_exit_1(error, monkeypatch, capsys):
+    def fails(cfg):
+        raise error
+
+    monkeypatch.setitem(cli.RUNNERS, "integrate", fails)
+    assert main(["integrate"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {error}\n" and not out
 
 
 def test_integrate_prints_value_and_ladder(capsys):

@@ -291,6 +291,17 @@ def test_phi_sigma_inversion(table1_run):
     assert np.max(np.abs(phi_of_sigma - tr.times)) <= 1e-9
 
 
+def test_phi_at_is_the_delayed_time_at_nonnegative_times():
+    # at s >= 0, 0 and past the end included, phi_at reads theta as
+    # theta_at does; at the samples it is the loop's own delayed time
+    p = table1_params(t_end=2.0)
+    tr = simulate(p)
+    s = np.concatenate([tr.times, tr.times[:-1] + 0.3 * p.dt, [0.0, 2.5, 9.0]])
+    want = s - np.asarray(p.delay_fn(tr.theta_at(s)), dtype=float)
+    assert tr.phi_at(s).tobytes() == want.tobytes()
+    assert np.max(np.abs(tr.phi_at(tr.times) - tr.phi_t)) <= 1e-14
+
+
 def test_feasibility_margin_positive_on_stock_run(table1_run):
     tr = table1_run["trace"]
     assert float(np.min(tr.feas_margin)) > 0.0

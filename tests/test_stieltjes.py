@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from measurefde.stieltjes import (Integrator, IntegrandError, _union,
-                                  check_gronwall, integrate, refine_ladder)
+from measurefde.stieltjes import (Integrator, IntegrandError, _simpson_rule,
+                                  _union, check_gronwall, integrate,
+                                  refine_ladder)
 
 IDENTITY = Integrator.identity()
 
@@ -150,6 +151,21 @@ def test_jump_ownership_endpoints():
     assert val == 1.0
 
 
+def test_integrate_over_a_point_is_zero():
+    # [a, a) owns no jump, not even one at a; the zero has f's shape
+    g = Integrator.with_jumps(1.0, [(1.0, 2.0)])
+    for f, want in ((lambda s: 5.0, [0.0]), (lambda s: np.array([1.0, s]), [0.0, 0.0])):
+        assert integrate(f, g, 1.0, 1.0).tolist() == want
+
+
+def test_cuts_are_the_ends_and_the_jumps_strictly_inside():
+    g = Integrator.with_jumps(1.0, [(-1.0, 1.0), (0.0, 1.0), (0.5, 1.0), (1.0, 1.0)])
+    assert g.cuts(0.0, 1.0) == [0.0, 0.5, 1.0]
+    assert g.cuts(-2.0, 2.0) == [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0]
+    assert g.cuts(0.6, 0.7) == [0.6, 0.7]
+    assert IDENTITY.cuts(0.0, 3.0) == [0.0, 3.0]
+
+
 def test_sign_flip_for_reversed_limits():
     fwd = integrate(lambda s: s, IDENTITY, 0.0, 1.0)
     rev = integrate(lambda s: s, IDENTITY, 1.0, 0.0)
@@ -186,6 +202,56 @@ def test_ladder_constant_once_jumps_separated():
     ladder = [float(v[0]) for v in refine_ladder(lambda s: s, g, 0.0, 1.0, 4)]
     assert ladder[0] == pytest.approx(ladder[-1], abs=1e-12)
     assert ladder[-1] == pytest.approx(0.3 * 1.0 + 0.7 * 2.0, abs=1e-12)
+
+
+def test_ladder_reversed_limits_flip_the_sign():
+    g = Integrator.with_jumps(lambda s: 1.0, [(0.4, 0.5)])
+    fwd = refine_ladder(lambda s: s, g, 0.0, 1.0, 3)
+    rev = refine_ladder(lambda s: s, g, 1.0, 0.0, 3)
+    assert [v.tolist() for v in rev] == [(-v).tolist() for v in fwd]
+
+
+# -- the Simpson rule builder --------------------------------------------------
+
+
+def _old_simpson_rule(a, b, panels):
+    """The single rule as np.linspace and a 1-4-2 weight pattern build it."""
+    xs = np.linspace(a, b, 2 * panels + 1)
+    w = np.ones(len(xs))
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (b - a) / (2 * panels) / 3.0
+    return xs, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(1, 300))
+@example(-6.0, -0.013, 240)          # a + (b - a) is not b: the last node
+@example(-6.0, 0.0, 240)
+@example(0.0, 2 * math.pi, 64)
+def test_single_simpson_rule_is_linspace_bit_for_bit(a, b, panels):
+    assume(b - a >= 1e-6)
+    xs, w = _simpson_rule(a, b, panels)
+    want_xs, want_w = _old_simpson_rule(a, b, panels)
+    assert xs.tobytes() == want_xs.tobytes() and w.tobytes() == want_w.tobytes()
+
+
+def test_simpson_rows_are_padded_single_rules():
+    lo = np.array([-6.0, 0.0, 1.0, 2.0])
+    hi = np.array([-0.3, 0.1, 1.0, 1.5])       # the last two are empty
+    panels = np.array([229, 3, 1, 1])
+    nodes, weights = _simpson_rule(lo, hi, panels, cols=500)
+    assert nodes.shape == weights.shape == (4, 500)
+    for i in range(2):
+        xs, w = _simpson_rule(float(lo[i]), float(hi[i]), int(panels[i]))
+        k = len(xs)
+        assert nodes[i, :k].tobytes() == xs.tobytes()
+        assert weights[i, :k].tobytes() == w.tobytes()
+        assert np.all(nodes[i, k:] == hi[i]) and not weights[i, k:].any()
+    for i in (2, 3):
+        assert np.all(nodes[i] == hi[i]) and not weights[i].any()
+    # without cols, the rows are as long as the longest rule
+    assert _simpson_rule(lo, hi, panels)[0].shape == (4, 459)
 
 
 # -- Gronwall ------------------------------------------------------------------
