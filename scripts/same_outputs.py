@@ -12,9 +12,11 @@ checkout's.  Prints one line per invocation and exits 1 on any difference;
 exits 2, before any run, when either directory holds no src/measurefde.
 
 The invocations are the four benchmark workloads, with the seed-0 impulse
-train, `avg --case sine`, and two `integrate` runs: one with jumps and one
-with a callable density alone.  The benchmark package of neither checkout
-is imported; test_scripts.py checks IMPULSE_TRAIN against it.
+train, `avg --case sine`, two `integrate` runs (one with jumps and one with
+a callable density alone), the tanh example from a negative t0 (the memo's
+keep masks) and a short `table1` run with the predictor off (the
+uncompensated branch of `esc.step`).  The benchmark package of neither
+checkout is imported; test_scripts.py checks IMPULSE_TRAIN against it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ INVOCATIONS = {
                         "--jumps", "0.25:0.5,0.7:1.5", "--from", "0", "--to", "1"],
     "integrate_density": ["integrate", "--f", "sin", "--density", "exp",
                           "--from", "-1", "--to", "2", "--levels", "5"],
+    "mfde_negative_t0": ["mfde", "--t0", "-0.5", "--out", "run"],
+    "es_uncompensated": ["es", "--preset", "table1", "--predictor", "off",
+                         "--t-end", "20", "--out", "run"],
 }
 
 

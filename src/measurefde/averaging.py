@@ -44,6 +44,7 @@ class AvgProblem:
     Lipschitz), M (sup bound for f and the perturbation), Kp (bound for the
     norm-growth envelope on the horizon).
 
+    The eps^2 perturbation g_pert is integrated against h, as f is.
     f, rho_delay and g_pert are called as MfdeProblem calls its right-hand
     sides, with an array of times and a batch view of one history per time;
     the solves pass whole batches, check_problem and estimate_constants
@@ -61,7 +62,6 @@ class AvgProblem:
     eps0: float
     consts: dict
     g_pert: Callable[[np.ndarray, _HistoryView, float], object] | None = None
-    h_pert: Integrator | None = None     # distinct integrator for the eps^2 term
     weight: Weight = UNIFORM_WEIGHT
     history_depth: float = 1.0
     solver_tol: float = 1e-9
@@ -235,8 +235,8 @@ def make_averaged_rule(p: AvgProblem, n_panels: int = 64):
 # -- the two initial value problems -------------------------------------------
 
 
-def _problem(p: AvgProblem, eps: float, f: Callable, g: Integrator, scale: float,
-             extra_terms: tuple = ()) -> MfdeProblem:
+def _problem(p: AvgProblem, eps: float, f: Callable, g: Integrator,
+             scale: float) -> MfdeProblem:
     """x' = eps f against g on [0, L/eps], bounds eps * scale * M, C, C2."""
     M, C, C2, C4 = (p.const(name) for name in ("M", "C", "C2", "C4"))
     bounds = ProblemBounds(
@@ -249,16 +249,17 @@ def _problem(p: AvgProblem, eps: float, f: Callable, g: Integrator, scale: float
                        rho_delay=lambda s, psi: p.rho_delay(s, psi, eps),
                        g=g, phi0=p.phi0, t0=0.0, sigma=p.L / eps, bounds=bounds,
                        tol=p.solver_tol, max_iters=p.max_iters, weight=p.weight,
-                       history_depth=p.history_depth, extra_terms=extra_terms)
+                       history_depth=p.history_depth)
 
 
 def _original_problem(p: AvgProblem, eps: float) -> MfdeProblem:
-    # the solver's _rows shapes what these return, one row per time
+    # the solver's _rows shapes what f returns, one row per time; the eps^2
+    # term rides in the one integrand against h, which _problem scales by eps
     f = lambda s, psi: np.asarray(p.f(s, psi), float)
-    # the eps^2 perturbation is a second integral term, against h_pert if set
-    pert = lambda s, psi: eps * eps * np.asarray(p.g_pert(s, psi, eps), float)
-    extra_terms = () if p.g_pert is None else ((pert, p.h_pert or p.h),)
-    return _problem(p, eps, f, p.h, 1.0 + eps, extra_terms)
+    if p.g_pert is not None:
+        f = lambda s, psi: _rows(p.f, s, psi) + eps * _rows(
+            lambda t, v: p.g_pert(t, v, eps), s, psi)
+    return _problem(p, eps, f, p.h, 1.0 + eps)
 
 
 def _default_steps(p: AvgProblem, eps: float) -> tuple[float, float]:

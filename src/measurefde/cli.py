@@ -203,6 +203,11 @@ def _summary_text(cfg: RunConfig, results: dict) -> str:
     return buf.getvalue()
 
 
+def _write_summary(cfg: RunConfig, results: dict) -> None:
+    with open(f"{cfg.out}_summary.txt", "w", newline="\n") as fh:
+        fh.write(_summary_text(cfg, results))
+
+
 # Rows stacked and turned into text per block.  On a 512-row block of the
 # 11-column es trace, g17_rows peaks at about 75 bytes per value (0.42 MB,
 # the returned text included; tracemalloc), against about 20 bytes of text
@@ -267,8 +272,7 @@ def _run_mfde(cfg: RunConfig) -> int:
                (traj.mesh, traj.values[:, 0], traj.post_jump_values[:, 0]))
     results = {"iterations": iters, "final_delta": f"{delta:.3e}",
                "residual": f"{defect:.3e}", "points": len(traj.mesh)}
-    with open(f"{cfg.out}_summary.txt", "w", newline="\n") as fh:
-        fh.write(_summary_text(cfg, results))
+    _write_summary(cfg, results)
     print(f"mfde: residual {defect:.3e} after {iters} iterations "
           f"({len(traj.mesh)} mesh points) -> {cfg.out}_trajectory.csv")
     return 0
@@ -299,8 +303,7 @@ def _run_avg(cfg: RunConfig) -> int:
     results = {"slope": report.slope, "J": report.theoretical_J,
                "all_passed": report.all_passed,
                "failures": report.failures or "none"}
-    with open(f"{cfg.out}_summary.txt", "w", newline="\n") as fh:
-        fh.write(_summary_text(cfg, results))
+    _write_summary(cfg, results)
     print(f"avg: slope {report.slope:.3f}, J {report.theoretical_J:.3g}, "
           f"{'all pass' if report.all_passed else 'FAILURES'} "
           f"-> {cfg.out}_report.csv")
@@ -353,7 +356,7 @@ def _write_es_outputs(cfg: RunConfig, params: esc.EsParams,
                 trace.feas_margin))
     n_x = cfg.params["pde_grid"]
     if n_x > 0 and len(trace.times) > 1:
-        diag = esc.transport_diagnostic(params, trace, n_x=n_x)
+        diag = esc.transport_diagnostic(trace, n_x=n_x)
         t_rep = np.repeat(diag.times, len(diag.x_grid))
         x_rep = np.tile(diag.x_grid, len(diag.times))
         _write_csv(f"{cfg.out}_pde.csv", "t,x,alpha",
@@ -373,8 +376,7 @@ def _write_es_outputs(cfg: RunConfig, params: esc.EsParams,
             converged=m["theta_err"] <= params.a + 1.0 / params.omega + 0.05)
         results["min_feas_margin"] = f"{float(np.min(trace.feas_margin)):.6g}"
     results.update(trace.flags)
-    with open(f"{cfg.out}_summary.txt", "w", newline="\n") as fh:
-        fh.write(_summary_text(cfg, results))
+    _write_summary(cfg, results)
     bits = [f"es: {results['status']}"]
     if "theta_err" in results:
         bits.append(f"tail |theta-theta*|={results['theta_err']}"

@@ -421,20 +421,20 @@ def _finalize(p: EsParams, state: SimState, n_have: int) -> EsTrace:
                     U=view(state.U_arr), Gamma=view(state.Gamma), phi_t=phi,
                     sigma_t=np.empty(0),        # set just below
                     feas_margin=view(state.margin), flags=flags)
-    trace.sigma_t = prediction_times(p, trace)
+    trace.sigma_t = prediction_times(trace)
     return trace
 
 
-def prediction_times(p: EsParams, trace: EsTrace) -> np.ndarray:
+def prediction_times(trace: EsTrace) -> np.ndarray:
     """Vectorised inversion of the delayed time over the whole trace.
 
-    sigma(t) is the bisection's crossing of trace.phi_at(s) = t (p is
-    trace.params) inside the bracket [t, t + k (max D so far + 1)]; where the
-    delay rate reaches 1, phi is not monotone and several crossings may
-    exist.  theta is extended past the end of the trace by its final value,
-    which keeps the bracket well defined near t_end.  The work runs in blocks
-    of BLOCK_ROWS times; the bisection count comes from the widest bracket
-    over the whole trace, so sigma does not depend on the block size.
+    sigma(t) is the bisection's crossing of trace.phi_at(s) = t inside the
+    bracket [t, t + k (max D so far + 1)]; where the delay rate reaches 1,
+    phi is not monotone and several crossings may exist.  theta is extended
+    past the end of the trace by its final value, which keeps the bracket
+    well defined near t_end.  The work runs in blocks of BLOCK_ROWS times;
+    the bisection count comes from the widest bracket over the whole trace,
+    so sigma does not depend on the block size.
     """
     ts = trace.times
     n = len(ts)
@@ -508,13 +508,13 @@ class PdeDiag:
     boundary_max_err: float
 
 
-def transport_diagnostic(p: EsParams, trace: EsTrace, n_x: int = 21) -> PdeDiag:
+def transport_diagnostic(trace: EsTrace, n_x: int = 21) -> PdeDiag:
     """Transport view alpha(x, t) = theta(phi(t + x (sigma(t) - t))).
 
     The stored alpha matrix is decimated in time to at most about 400 rows;
     the boundary identities alpha(1, t) = theta(t) and
     alpha(0, t) = theta(t - D(theta(t))) are evaluated at every stored time
-    and the worst violation is reported; phi is trace.phi_at (p is trace.params).
+    and the worst violation is reported; phi is trace.phi_at.
     """
     stride = max(1, len(trace.times) // 400)
     idx = np.arange(0, len(trace.times), stride)

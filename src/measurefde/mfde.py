@@ -1,9 +1,9 @@
 """Solver for measure functional differential equations with state-dependent delay.
 
 The problem is the integral equation
-    x(t) = x(t0) + sum_k int_{t0}^{t} f_k(s, x_{rho(s, x_s)}) dg_k(s),
+    x(t) = x(t0) + int_{t0}^{t} f(s, x_{rho(s, x_s)}) dg(s),
     x_{t0} = phi,
-with each g_k nondecreasing and left-continuous, solved by Picard iteration
+with g nondecreasing and left-continuous, solved by Picard iteration
 of the solution operator on a jump-aware mesh.  The horizon is partitioned
 into windows whenever the computable contraction certificate exceeds one.
 """
@@ -11,9 +11,7 @@ into windows whenever the computable contraction certificate exceeds one.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -60,11 +58,9 @@ def _check_depth(depth: float | None):
 
 @dataclass(frozen=True)
 class MfdeProblem:
-    """x = x(t0) + sum of int f_k dg_k: (f, g) is the first term and
-    extra_terms holds any further (f_k, g_k) pairs, all read at the same
-    delayed history.
+    """x = x(t0) + int f dg, with f read at the delayed history.
 
-    rho_delay and every f_k are called once per batch: with a 1-d array of
+    rho_delay and f are called once per batch: with a 1-d array of
     times s and a history psi whose reads return one row per time.  They
     return one value or row per time; a 0-d value holds for every time.
     history_depth is None (the whole past) or a finite depth > 0.
@@ -81,7 +77,6 @@ class MfdeProblem:
     max_iters: int = 80
     weight: Weight = EXP_WEIGHT
     history_depth: float | None = None
-    extra_terms: tuple[tuple[Callable, Integrator], ...] = ()
 
     def __post_init__(self):
         # written as `not x > 0` so that nan fails too
@@ -95,20 +90,16 @@ class MfdeProblem:
             raise ValueError("t0 must be finite")
         _check_depth(self.history_depth)
 
-    @property
-    def terms(self) -> tuple:
-        return ((self.f, self.g),) + self.extra_terms
-
 
 def build_mesh(p: MfdeProblem, step: float) -> np.ndarray:
-    """Uniform base mesh plus jump times of every g_k plus shifted history
+    """Uniform base mesh plus the jump times of g plus shifted history
     breakpoints."""
     if not 0 < step < math.inf:
         raise ValueError("step must be finite and positive")
     t_end = p.t0 + p.sigma
     n = max(2, int(math.ceil(p.sigma / step)))
     grid = np.linspace(p.t0, t_end, n + 1)
-    jumps = [t for _, g in p.terms for t, _ in g.jumps]
+    jumps = [t for t, _ in p.g.jumps]
     inner = sorted(t for t in jumps + (p.t0 - p.phi0.breakpoints).tolist()
                    if p.t0 < t < t_end)
     # insert the few inner times into the grid; np.unique would add 1.7 MB
@@ -149,10 +140,10 @@ def _delays(p: MfdeProblem, x: Trajectory, s: np.ndarray,
 
 
 def _batch_rhs(p: MfdeProblem, x: Trajectory, s: np.ndarray,
-               post=None) -> tuple[list, int]:
-    """Every f_k at the times s on the histories at their delayed times, one
-    row per time, and the most history points rho_delay or an f_k read for
-    one row; a row with a post index starts from the right limit."""
+               post=None) -> tuple[np.ndarray, int]:
+    """f at the times s on the histories at their delayed times, one row per
+    time, and the most history points rho_delay or f read for one row; a
+    row with a post index starts from the right limit."""
     r, view = _delays(p, x, s, post)
     delay_reads = view.reads
     late = r > s + 1e-9
@@ -167,8 +158,7 @@ def _batch_rhs(p: MfdeProblem, x: Trajectory, s: np.ndarray,
             post = post.copy()
             post[~same] = -1
         view = _HistoryView(x, r, p.history_depth, post)
-    rows = [_rows(f, s, view) for f, _ in p.terms]
-    return rows, max(delay_reads[0], view.reads[0])
+    return _rows(p.f, s, view), max(delay_reads[0], view.reads[0])
 
 
 def _in_batches(n: int, run: Callable[[int, int], int]):
@@ -186,8 +176,8 @@ def _in_batches(n: int, run: Callable[[int, int], int]):
         a, cells = b, max(1, (BATCH_READS // most - 1) // 2)
 
 
-def _sweep(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
-           i0: int, i1: int, base_val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(p: MfdeProblem, x: Trajectory, caches: tuple, i0: int, i1: int,
+           base_val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One application of the solution operator on mesh indices [i0, i1].
 
     Returns (values, post_jump_values) for that index range.  Every history
@@ -195,18 +185,17 @@ def _sweep(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
     depend on each other: they are evaluated in batches of cells, sized by
     _in_batches to the history points read per row, at the nodes and
     midpoints and, on cells that open with a jump, at the node's right
-    limit.  Simpson on each mesh cell for the density part of every term,
-    whose integrand starts from the post-jump history; a jump at the left
-    endpoint of a cell belongs to that cell and uses the left value.
+    limit.  Simpson on each mesh cell for the density part, whose integrand
+    starts from the post-jump history; a jump at the left endpoint of a cell
+    belongs to that cell and uses the left value.
     """
     mesh, n, dim = x.mesh, i1 - i0, x.dim
     half = np.empty(2 * n + 1)  # nodes and midpoints in time order
     half[0::2] = mesh[i0:i1 + 1]
     half[1::2] = 0.5 * (mesh[i0:i1] + mesh[i0 + 1:i1 + 1])
     h6 = ((mesh[i0 + 1:i1 + 1] - mesh[i0:i1]) / 6.0)[:, None]
-    cols = [(dn[i0:i1 + 1, None], dm[i0:i1, None], jump_at[i0:i1 + 1, None])
-            for dn, dm, jump_at in caches]
-    jumps = any_jump[i0:i1 + 1]
+    dn, dm, jump_at = caches
+    dn, dm, jump_at = dn[i0:i1 + 1, None], dm[i0:i1, None], jump_at[i0:i1 + 1, None]
     vals = np.empty((n + 1, dim))
     post = np.empty_like(vals)
     vals[0] = base_val
@@ -214,21 +203,19 @@ def _sweep(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
     def run(a: int, b: int) -> int:
         m = 2 * (b - a) + 1
         s, right = half[2 * a:2 * b + 1], None
-        jc = np.nonzero(jumps[a:b])[0]  # cells that open with a jump
+        jc = np.nonzero(jump_at[a:b, 0])[0]  # cells that open with a jump
         if len(jc):
             s = np.concatenate([s, half[2 * (a + jc)]])
             right = np.concatenate([np.full(m, -1), i0 + a + jc])
-        inc = np.zeros((b - a, dim))
-        atoms = np.zeros((b - a + 1, dim))
-        rows, reads = _batch_rhs(p, x, s, right)
-        for (dn, dm, jump_at), fs in zip(cols, rows):
-            fn, fp = fs[0:m:2], fs[0:m - 1:2]
-            if len(jc):
-                fp = fp.copy()
-                fp[jc] = fs[m:]
-            inc = inc + h6[a:b] * (fp * dn[a:b] + 4.0 * fs[1:m:2] * dm[a:b]
-                                   + fn[1:] * dn[a + 1:b + 1])
-            atoms = atoms + fn * jump_at[a:b + 1]
+        fs, reads = _batch_rhs(p, x, s, right)
+        fn, fp = fs[0:m:2], fs[0:m - 1:2]
+        if len(jc):
+            fp = fp.copy()
+            fp[jc] = fs[m:]
+        # summed onto zeros, so that a -0.0 becomes 0.0 and prints as 0
+        inc = np.zeros((b - a, dim)) + h6[a:b] * (
+            fp * dn[a:b] + 4.0 * fs[1:m:2] * dm[a:b] + fn[1:] * dn[a + 1:b + 1])
+        atoms = np.zeros((b - a + 1, dim)) + fn * jump_at[a:b + 1]
         vals[a:b + 1] = np.cumsum(np.concatenate([vals[a:a + 1], inc + atoms[:-1]]),
                                   axis=0)
         post[a:b + 1] = vals[a:b + 1] + atoms
@@ -238,26 +225,22 @@ def _sweep(p: MfdeProblem, x: Trajectory, caches: list, any_jump: np.ndarray,
     return vals, post
 
 
-def _mesh_caches(p: MfdeProblem, mesh: np.ndarray) -> tuple[list, np.ndarray]:
-    """Per-term (density at nodes, density at midpoints, jump at node) arrays,
-    and the mask of nodes where some term jumps."""
+def _mesh_caches(p: MfdeProblem, mesh: np.ndarray) -> tuple:
+    """g's density at the nodes and at the midpoints, and its jump at each
+    node (0 where it has none)."""
+    jump_at = np.zeros(len(mesh))
+    for t, m in p.g.jumps:
+        hits = np.nonzero(_hits(mesh, t))[0]
+        if hits.size:
+            jump_at[hits[0]] = m
     mids = 0.5 * (mesh[:-1] + mesh[1:])
-    caches = []
-    for _, g in p.terms:
-        jump_at = np.zeros(len(mesh))
-        for t, m in g.jumps:
-            hits = np.nonzero(_hits(mesh, t))[0]
-            if hits.size:
-                jump_at[hits[0]] = m
-        caches.append((_sample(g.density, mesh), _sample(g.density, mids), jump_at))
-    any_jump = np.any([jump_at != 0 for _, _, jump_at in caches], axis=0)
-    return caches, any_jump
+    return _sample(p.g.density, mesh), _sample(p.g.density, mids), jump_at
 
 
 def gamma_apply(x: Trajectory, p: MfdeProblem) -> Trajectory:
     """Apply the solution operator to a candidate trajectory on its mesh."""
     base = np.atleast_1d(p.phi0.value_at_zero())
-    vals, post = _sweep(p, x, *_mesh_caches(p, x.mesh), 0, len(x.mesh) - 1, base)
+    vals, post = _sweep(p, x, _mesh_caches(p, x.mesh), 0, len(x.mesh) - 1, base)
     return Trajectory(x.mesh.copy(), vals, post, p.phi0, p.t0)
 
 
@@ -290,7 +273,7 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
 
     Iterates x <- Gamma(x) windowwise until the sup change over the window
     mesh falls below tol; windows are sized so the contraction certificate
-    K * (summed g_k-variation) stays below one half whenever the
+    K * (g-variation) stays below one half whenever the
     whole-horizon estimate is not already below one.
 
     With the default "constant" guess, each window after the first starts
@@ -303,8 +286,8 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
         step = p.sigma / 2000.0
     mesh = build_mesh(p, step)
     # g increments from the first node: the cost does not grow with |t0|
-    gvals = reduce(operator.add, (g.values_at(mesh, mesh[0]) for _, g in p.terms))
-    caches, any_jump = _mesh_caches(p, mesh)
+    gvals = p.g.values_at(mesh, mesh[0])
+    caches = _mesh_caches(p, mesh)
     windows = _partition_windows(contraction_rate(p), gvals)
 
     x = initial_trajectory(p, mesh, initial_guess)
@@ -321,7 +304,7 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
         delta = math.inf
         for _ in range(p.max_iters):
             total_iters += 1
-            vals, post = _sweep(p, x, caches, any_jump, i0, i1, base)
+            vals, post = _sweep(p, x, caches, i0, i1, base)
             delta = max(float(np.abs(vals - x.values[i0:i1 + 1]).max()),
                         float(np.abs(post - x.post_jump_values[i0:i1 + 1]).max()))
             x.values[i0:i1 + 1] = vals

@@ -248,12 +248,16 @@ def refine_ladder(f, g: Integrator, a: float, b: float, levels: int,
 
     Division points include every jump time of g, and each subinterval is
     tagged at its left endpoint, so a jump's contribution is f at the jump
-    itself.  Used as an independent convergence oracle for :func:`integrate`.
+    itself.  Used as an independent convergence oracle for :func:`integrate`;
+    over a point, as there, every level is zero in f's shape.
     """
     if levels <= 0:
         raise ValueError("levels must be positive")
     if a > b:
         return [-v for v in refine_ladder(f, g, b, a, levels, n0)]
+    if a == b:
+        zero = np.zeros_like(_as_vec(f(a)))
+        return [zero.copy() for _ in range(levels)]
     out = []
     for level in range(levels):
         n = n0 * (2 ** level)

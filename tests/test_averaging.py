@@ -136,29 +136,36 @@ def test_eps_domain_enforced():
         solve_averaged(p, -0.1)
 
 
-def _dual_problem(**changes):
-    # eps^2 term against its own pure-jump integrator
-    base = linear_periodic_problem(a0=0.0, b0=0.0, L=0.4)
-    h2 = Integrator.pure_jumps([(1.0, 1.0), (3.0, 0.5)])
-    return replace(base, f=lambda s, psi: 1.0,
-                   g_pert=lambda s, psi, eps: 2.0, h_pert=h2, **changes)
+# h(t) = t plus the jumps before t; the horizon L / eps = 4 holds both
+JUMPY_H = Integrator.with_jumps(1.0, [(1.0, 1.0), (3.0, 0.5)])
 
 
-def test_dual_integrator_perturbation():
-    # closed-form staircase
-    p = _dual_problem()
+def _pert_problem(**changes):
+    # f = 1 and the eps^2 term g_pert = 2, both integrated against JUMPY_H
+    base = linear_periodic_problem(a0=0.0, b0=0.0, L=0.8)
+    return replace(base, **{"f": lambda s, psi: 1.0, "h": JUMPY_H,
+                             "g_pert": lambda s, psi, eps: 2.0, **changes})
+
+
+def test_perturbation_integrated_against_h():
+    # closed-form staircase x = 1 + (eps + 2 eps^2) h(t), on both sides of
+    # each jump
+    p = _pert_problem()
     eps = 0.2
     x = solve_original(p, eps, step=0.02)
-    expected = 1.0 + eps * x.mesh \
-        + eps * eps * 2.0 * ((x.mesh > 1.0) * 1.0 + (x.mesh > 3.0) * 0.5)
-    assert np.max(np.abs(x.values[:, 0] - expected)) < 1e-8
-    # the dual solution is a fixed point of the two-term solution operator
+    rate = eps + 2.0 * eps * eps
+    left = x.mesh + (x.mesh > 1.0) * 1.0 + (x.mesh > 3.0) * 0.5
+    right = x.mesh + (x.mesh >= 1.0) * 1.0 + (x.mesh >= 3.0) * 0.5
+    assert np.max(np.abs(x.values[:, 0] - (1.0 + rate * left))) < 1e-8
+    assert np.max(np.abs(x.post_jump_values[:, 0] - (1.0 + rate * right))) < 1e-8
     assert residual(x, _original_problem(p, eps)) <= 10 * p.solver_tol
 
 
-def test_dual_integrator_checks_monotone_delay():
-    # the jumps of h_pert push the delayed time backwards along the solution
-    p = _dual_problem(rho_delay=lambda s, psi, eps: s - 2.0 * (psi(0.0) - 1.0))
+def test_perturbation_checks_monotone_delay():
+    # with f = 0, the jumps of the eps^2 term alone push the delayed time
+    # backwards along the solution
+    p = _pert_problem(f=lambda s, psi: 0.0,
+                      rho_delay=lambda s, psi, eps: s - 2.0 * (psi(0.0) - 1.0))
     with pytest.raises(HypothesisViolationError):
         solve_original(p, 0.2, step=0.02)
 
@@ -384,11 +391,11 @@ def test_avg_path_fits_its_slope_without_lapack(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("p", [
     linear_periodic_problem(L=0.5),
     # f = 0 lets the averaged solve converge at once: only the eps^2 term
-    # against h_pert can fail to converge
+    # against h can fail to converge
     replace(linear_periodic_problem(L=0.5), f=lambda s, psi: 0.0,
-            g_pert=lambda s, psi, eps: 2.0,
-            h_pert=Integrator.pure_jumps([(1.0, 1.0), (2.0, 0.5)])),
-], ids=["single", "dual"])
+            h=Integrator.with_jumps(1.0, [(1.0, 1.0), (2.0, 0.5)]),
+            g_pert=lambda s, psi, eps: 2.0),
+], ids=["single", "perturbed"])
 def test_compare_records_failures(p):
     p = replace(p, max_iters=1, solver_tol=1e-14)
     rep = compare(p, [0.2], check=False)

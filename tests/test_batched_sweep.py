@@ -1,6 +1,6 @@
 """The batched Picard sweep against the per-row oracle.
 
-The solver calls rho_delay and every f_k once per batch of times, with a
+The solver calls rho_delay and f once per batch of times, with a
 history view whose reads return one row per time.  The same functions lifted
 by the per-row oracle of _oracles.py, which calls them once per row on a
 one-row view, must give the same solution operator and raise the same typed
@@ -32,7 +32,7 @@ from measurefde.stieltjes import Integrator, _simpson_rule
 BOUNDS = ProblemBounds(lambda s: 2.0, lambda s: 1.0, lambda s: 1.0, lambda s: 0.5)
 
 
-def random_problem(rng, dim, n_jumps, extra, fault):
+def random_problem(rng, dim, n_jumps, fault):
     """Linear delay problem in both calling conventions: s is a float with
     one history, or an array with one history row per time."""
     t0 = float(rng.uniform(-1.0, 1.0))
@@ -43,10 +43,8 @@ def random_problem(rng, dim, n_jumps, extra, fault):
     d0, d1 = rng.uniform(0.0, 0.5, 2)
 
     def f(s, psi):
-        return np.sin(np.asarray(s))[..., None] * psi.eval(-lag) + psi.eval(0.0) @ a.T
-
-    def pert(s, psi):
-        return np.cos(np.asarray(s))[..., None] * b + 0.0 * psi.eval(0.0)
+        s = np.asarray(s)[..., None]
+        return np.sin(s) * psi.eval(-lag) + psi.eval(0.0) @ a.T + np.cos(s) * b
 
     def rho(s, psi):
         r = s - d0 - d1 * np.tanh(psi.eval(0.0)[..., 0]) ** 2
@@ -59,18 +57,15 @@ def random_problem(rng, dim, n_jumps, extra, fault):
     jumps = sorted(rng.uniform(t0, t0 + sigma, n_jumps).tolist())
     g = Integrator.with_jumps(float(rng.uniform(0.5, 1.5)),
                               [(t, float(rng.uniform(0.1, 0.6))) for t in jumps])
-    h = Integrator.pure_jumps([(t0 + 0.3 * sigma, 0.4)]) if extra else None
     phi = RegulatedFn.polyline(np.array([-2.0, -1.0, 0.0]),
                                rng.normal(0.0, 1.0, (3, dim)), tail_value=np.zeros(dim))
     return MfdeProblem(f=f, rho_delay=rho, g=g, phi0=phi, t0=t0, sigma=sigma,
-                       bounds=BOUNDS, tol=1e-11, history_depth=2.0,
-                       extra_terms=((pert, h),) if extra else ())
+                       bounds=BOUNDS, tol=1e-11, history_depth=2.0)
 
 
 def one_per_row(p):
-    """p with rho_delay and every f_k called once per row, through per_row."""
-    return replace(p, f=per_row(p.f), rho_delay=per_row(p.rho_delay),
-                   extra_terms=tuple((per_row(f), g) for f, g in p.extra_terms))
+    """p with rho_delay and f called once per row, through per_row."""
+    return replace(p, f=per_row(p.f), rho_delay=per_row(p.rho_delay))
 
 
 def outcome(fn):
@@ -82,10 +77,10 @@ def outcome(fn):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(0, 3),
-       st.booleans(), st.sampled_from([None, None, "late", "deep"]))
-def test_batched_sweep_matches_per_row_adapter(seed, dim, n_jumps, extra, fault):
+       st.sampled_from([None, None, "late", "deep"]))
+def test_batched_sweep_matches_per_row_adapter(seed, dim, n_jumps, fault):
     rng = np.random.default_rng(seed)
-    batched = random_problem(rng, dim, n_jumps, extra, fault)
+    batched = random_problem(rng, dim, n_jumps, fault)
     rows = one_per_row(batched)
     x = initial_trajectory(batched, build_mesh(batched, float(rng.uniform(0.01, 0.1))))
     x.values += rng.normal(0.0, 0.3, x.values.shape)
@@ -220,7 +215,7 @@ def test_batch_reads_budget_does_not_change_results(monkeypatch):
     sizes = rng.uniform(0.02, 0.06, 19)
     train = cli._parse_jumps(",".join(f"{t:.6f}:{m:.6f}" for t, m in zip(times, sizes)))
     avg = averaging.linear_periodic_problem(L=1.0)
-    rows = one_per_row(random_problem(np.random.default_rng(7), 1, 2, True, None))
+    rows = one_per_row(random_problem(np.random.default_rng(7), 1, 2, None))
     solves = {
         "original": lambda: averaging.solve_original(avg, 0.1),
         "averaged": lambda: averaging.solve_averaged(avg, 0.1),

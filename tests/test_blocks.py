@@ -47,11 +47,11 @@ def case_trace(request):
 @pytest.mark.parametrize("size", BLOCK_SIZES)
 def test_sigma_and_transport_check_independent_of_block_size(case_trace, size,
                                                              monkeypatch):
-    p, trace = case_trace
-    err = esc.transport_diagnostic(p, trace).boundary_max_err
+    _, trace = case_trace
+    err = esc.transport_diagnostic(trace).boundary_max_err
     monkeypatch.setattr(esc, "BLOCK_ROWS", size)
-    assert np.array_equal(esc.prediction_times(p, trace), trace.sigma_t)
-    assert esc.transport_diagnostic(p, trace).boundary_max_err == err
+    assert np.array_equal(esc.prediction_times(trace), trace.sigma_t)
+    assert esc.transport_diagnostic(trace).boundary_max_err == err
 
 
 @pytest.mark.parametrize("size", BLOCK_SIZES)

@@ -159,6 +159,15 @@ def test_integrate_prints_value_and_ladder(capsys):
     assert all(line.split(",")[1] == "0.25" for line in out[2:])
 
 
+def test_integrate_over_a_point_prints_zeros(capsys):
+    code = main(["integrate", "--jumps", "1:2", "--from", "1", "--to", "1",
+                 "--levels", "3"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out == ["value,0", "level,approximation,abs_delta",
+                   "0,0,0", "1,0,0", "2,0,0"]
+
+
 def test_mfde_writes_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = main(["mfde", "--example", "tanh", "--sigma", "0.3",

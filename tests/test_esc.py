@@ -147,14 +147,14 @@ def test_delay_and_prediction_time_zero_delay():
     p = quick_params(t_end=1.0)
     assert np.array_equal(simulate(p).phi_t, np.arange(1001) * p.dt)
     tr = _frozen_trace(p, 7.0)
-    assert prediction_times(p, tr)[1000] == pytest.approx(1.0, abs=1e-9)
+    assert prediction_times(tr)[1000] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_prediction_time_constant_delay():
     d0 = 0.3
     p = quick_params(delay_fn=constant_delay(d0))
     tr = _frozen_trace(p, 7.0)
-    assert prediction_times(p, tr)[1000] == pytest.approx(1.0 + d0, abs=1e-9)
+    assert prediction_times(tr)[1000] == pytest.approx(1.0 + d0, abs=1e-9)
 
 
 def test_prediction_time_frozen_state_closed_form():
@@ -162,7 +162,7 @@ def test_prediction_time_frozen_state_closed_form():
     theta0 = 7.9
     tr = _frozen_trace(p, theta0)
     d = float(sin5sq_delay(theta0))
-    assert prediction_times(p, tr)[2000] == pytest.approx(2.0 + d, abs=1e-9)
+    assert prediction_times(tr)[2000] == pytest.approx(2.0 + d, abs=1e-9)
 
 
 def test_oracles_match_simulated_trace(table1_run):
@@ -400,7 +400,7 @@ def test_estimate_doubles_with_probe_amplitude():
 def test_transport_view_zero_delay_is_flat():
     p = quick_params(theta_hat0=7.0, t_end=2.0)
     tr = simulate(p)
-    diag = transport_diagnostic(p, tr, n_x=7)
+    diag = transport_diagnostic(tr, n_x=7)
     spread = np.max(diag.alpha, axis=1) - np.min(diag.alpha, axis=1)
     assert np.max(spread) < 1e-9
     assert diag.boundary_max_err < 1e-9
@@ -410,12 +410,12 @@ def test_transport_view_constant_state():
     p = quick_params(delay_fn=sin5sq_delay, delay_grad=sin5sq_delay_grad,
                      a=1e-12, theta_hat0=8.0, t_end=2.0, k_gain=0.0)
     tr = simulate(p)
-    diag = transport_diagnostic(p, tr, n_x=9)
+    diag = transport_diagnostic(tr, n_x=9)
     assert np.max(np.abs(diag.alpha - 8.0)) < 1e-9
 
 
 def test_transport_boundary_identities(table1_run):
-    diag = transport_diagnostic(table1_run["params"], table1_run["trace"], n_x=21)
+    diag = transport_diagnostic(table1_run["trace"], n_x=21)
     assert diag.boundary_max_err <= 1e-6
 
 

@@ -339,7 +339,7 @@ def _windows(p, step):
     from measurefde.mfde import _mesh_caches, _partition_windows, contraction_rate
     mesh = build_mesh(p, step)
     windows = _partition_windows(contraction_rate(p), p.g.values_at(mesh, mesh[0]))
-    return windows, _mesh_caches(p, mesh)[1]
+    return windows, _mesh_caches(p, mesh)[2] != 0
 
 
 def test_warm_start_takes_two_sweeps_per_window(tanh_run):
@@ -362,10 +362,10 @@ def test_warm_start_across_impulses():
     sizes = rng.uniform(0.02, 0.06, 19)
     p = tanh_kernel_problem(sigma=2.0, jumps=_parse_jumps(
         ",".join(f"{t:.6f}:{m:.6f}" for t, m in zip(times, sizes))))
-    windows, any_jump = _windows(p, 2e-3)
+    windows, jumps = _windows(p, 2e-3)
     # every impulse opens a window, whose guess starts from the post-jump
     # value, and the window after it takes its slope from that right limit
-    assert sum(bool(any_jump[i0]) for i0, _ in windows[1:]) == 19
+    assert sum(bool(jumps[i0]) for i0, _ in windows[1:]) == 19
     xw, iters_w, _ = solve_picard(p, step=2e-3)
     xr, iters_r, _ = solve_picard(p, step=2e-3, initial_guess="ramp")
     assert (iters_w, iters_r) == (276, 356)
@@ -385,7 +385,7 @@ def test_build_mesh_pins_jump_nodes_and_stays_small():
     grid = np.linspace(0.0, 1.0, 11)
     assert np.array_equal(mesh, np.insert(grid, 3, 0.25))
     # each jump lands on the node it is read at
-    assert mesh[np.flatnonzero(_mesh_caches(p, mesh)[1])].tolist() == [grid[3], 0.5]
+    assert mesh[np.flatnonzero(_mesh_caches(p, mesh)[2])].tolist() == [grid[3], 0.5]
     # the peak stays within 4x the returned mesh (12x with a set of floats)
     import tracemalloc
     p = replace(p, sigma=4.0)

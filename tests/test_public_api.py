@@ -21,12 +21,11 @@ PUBLIC = [
 # the knobs of each config; a field added or removed here is added or
 # removed on purpose
 FIELDS = {
-    "MfdeProblem": ["bounds", "extra_terms", "f", "g", "history_depth",
-                    "max_iters", "phi0", "rho_delay", "sigma", "t0", "tol",
-                    "weight"],
+    "MfdeProblem": ["bounds", "f", "g", "history_depth", "max_iters", "phi0",
+                    "rho_delay", "sigma", "t0", "tol", "weight"],
     "AvgProblem": ["L", "T", "alpha", "consts", "eps0", "f", "g_pert", "h",
-                   "h_pert", "history_depth", "max_iters", "phi0",
-                   "rho_delay", "solver_tol", "weight"],
+                   "history_depth", "max_iters", "phi0", "rho_delay",
+                   "solver_tol", "weight"],
     "EsParams": ["a", "c", "delay_fn", "delay_grad", "divergence_cap", "dt",
                  "hessian", "k_gain", "omega", "predictor_on", "t_end",
                  "theta_hat0", "theta_star", "u0", "washout", "y_star"],

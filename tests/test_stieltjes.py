@@ -204,6 +204,15 @@ def test_ladder_constant_once_jumps_separated():
     assert ladder[-1] == pytest.approx(0.3 * 1.0 + 0.7 * 2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("f, want", [(lambda s: 5.0, [0.0]),
+                                     (lambda s: np.array([1.0, s]), [0.0, 0.0])],
+                         ids=["scalar", "vector"])
+def test_ladder_over_a_point_is_zero_at_every_level(f, want):
+    # as integrate: [a, a) owns no jump, and each level has f's shape
+    g = Integrator.with_jumps(1.0, [(1.0, 2.0)])
+    assert [v.tolist() for v in refine_ladder(f, g, 1.0, 1.0, 3)] == [want] * 3
+
+
 def test_ladder_reversed_limits_flip_the_sign():
     g = Integrator.with_jumps(lambda s: 1.0, [(0.4, 0.5)])
     fwd = refine_ladder(lambda s: s, g, 0.0, 1.0, 3)
