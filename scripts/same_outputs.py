@@ -14,8 +14,10 @@ exits 2, before any run, when either directory holds no src/measurefde.
 The invocations are the four benchmark workloads, with the seed-0 impulse
 train, `avg --case sine`, two `integrate` runs (one with jumps and one with
 a callable density alone), the tanh example from a negative t0 (the memo's
-keep masks) and a short `table1` run with the predictor off (the
-uncompensated branch of `esc.step`).  The benchmark package of neither
+keep masks) and from t0 = 1e6 (where the solver's settled-time comparison
+and the mesh-hit rule are exact float comparisons at large |t|), and a
+short `table1` run with the predictor off (the uncompensated branch of
+`esc.step`).  The benchmark package of neither
 checkout is imported; test_scripts.py checks IMPULSE_TRAIN against it.
 """
 
@@ -51,6 +53,7 @@ INVOCATIONS = {
     "integrate_density": ["integrate", "--f", "sin", "--density", "exp",
                           "--from", "-1", "--to", "2", "--levels", "5"],
     "mfde_negative_t0": ["mfde", "--t0", "-0.5", "--out", "run"],
+    "mfde_large_t0": ["mfde", "--t0", "1e6", "--sigma", "0.5", "--out", "run"],
     "es_uncompensated": ["es", "--preset", "table1", "--predictor", "off",
                          "--t-end", "20", "--out", "run"],
 }

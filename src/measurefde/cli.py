@@ -264,8 +264,7 @@ def _run_mfde(cfg: RunConfig) -> int:
                                            tol=prm["tol"],
                                            jumps=_parse_jumps(prm["jumps"]))
         step = prm["step"]
-        if not 0 < step < math.inf:
-            raise ValueError("step must be finite and positive")
+        mfde.build_mesh(problem, step)  # a step it refuses is a usage error
     traj, iters, delta = mfde.solve_picard(problem, step=step)
     defect = mfde.residual(traj, problem)
     _write_csv(f"{cfg.out}_trajectory.csv", "t,value_0,post_jump_value_0",

@@ -25,6 +25,9 @@ from .trajectory import Trajectory, _HistoryView
 # each batch so that memory stays flat: 2**14 holds the tanh example's 33
 # rows of 481 kernel points, and 8,191 cells of a one-point-per-row problem
 BATCH_READS = 2 ** 14
+# base mesh cells (sigma / step) a solve may ask for: each float array over
+# such a mesh is 32 MB, and a solve holds about a dozen
+MAX_CELLS = 2 ** 22
 
 
 class HypothesisViolationError(ValueError):
@@ -93,11 +96,17 @@ class MfdeProblem:
 
 def build_mesh(p: MfdeProblem, step: float) -> np.ndarray:
     """Uniform base mesh plus the jump times of g plus shifted history
-    breakpoints."""
+    breakpoints.  ValueError, before anything is allocated, for a step that
+    is not finite and positive or whose cell count ceil(sigma / step)
+    exceeds MAX_CELLS."""
     if not 0 < step < math.inf:
         raise ValueError("step must be finite and positive")
+    cells = p.sigma / step  # inf for a subnormal step
+    if not cells <= MAX_CELLS:
+        raise ValueError(f"sigma / step = {cells:.3g} exceeds the {MAX_CELLS} "
+                         "mesh cells a solve may ask for")
     t_end = p.t0 + p.sigma
-    n = max(2, int(math.ceil(p.sigma / step)))
+    n = max(2, math.ceil(cells))
     grid = np.linspace(p.t0, t_end, n + 1)
     jumps = [t for t, _ in p.g.jumps]
     inner = sorted(t for t in jumps + (p.t0 - p.phi0.breakpoints).tolist()
@@ -132,19 +141,20 @@ def _rows(fn, s: np.ndarray, view: _HistoryView) -> np.ndarray:
     return out.reshape(len(s), -1)
 
 
-def _delays(p: MfdeProblem, x: Trajectory, s: np.ndarray,
-            post=None) -> tuple[np.ndarray, _HistoryView]:
+def _delays(p: MfdeProblem, x: Trajectory, s: np.ndarray, post=None,
+            settled: float = -math.inf) -> tuple[np.ndarray, _HistoryView]:
     """rho_delay at the times s on the histories x_s, and that batch view."""
-    view = _HistoryView(x, s, p.history_depth, post)
+    view = _HistoryView(x, s, p.history_depth, post, settled)
     return _rows(p.rho_delay, s, view)[:, 0], view
 
 
-def _batch_rhs(p: MfdeProblem, x: Trajectory, s: np.ndarray,
-               post=None) -> tuple[np.ndarray, int]:
+def _batch_rhs(p: MfdeProblem, x: Trajectory, s: np.ndarray, post=None,
+               settled: float = -math.inf) -> tuple[np.ndarray, int]:
     """f at the times s on the histories at their delayed times, one row per
     time, and the most history points rho_delay or f read for one row; a
-    row with a post index starts from the right limit."""
-    r, view = _delays(p, x, s, post)
+    row with a post index starts from the right limit.  Both batch views
+    carry settled (see _HistoryView)."""
+    r, view = _delays(p, x, s, post, settled)
     delay_reads = view.reads
     late = r > s + 1e-9
     if late.any():
@@ -157,7 +167,7 @@ def _batch_rhs(p: MfdeProblem, x: Trajectory, s: np.ndarray,
         if post is not None:
             post = post.copy()
             post[~same] = -1
-        view = _HistoryView(x, r, p.history_depth, post)
+        view = _HistoryView(x, r, p.history_depth, post, settled)
     return _rows(p.f, s, view), max(delay_reads[0], view.reads[0])
 
 
@@ -177,7 +187,8 @@ def _in_batches(n: int, run: Callable[[int, int], int]):
 
 
 def _sweep(p: MfdeProblem, x: Trajectory, caches: tuple, i0: int, i1: int,
-           base_val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+           base_val: np.ndarray,
+           settled: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
     """One application of the solution operator on mesh indices [i0, i1].
 
     Returns (values, post_jump_values) for that index range.  Every history
@@ -185,9 +196,10 @@ def _sweep(p: MfdeProblem, x: Trajectory, caches: tuple, i0: int, i1: int,
     depend on each other: they are evaluated in batches of cells, sized by
     _in_batches to the history points read per row, at the nodes and
     midpoints and, on cells that open with a jump, at the node's right
-    limit.  Simpson on each mesh cell for the density part, whose integrand
-    starts from the post-jump history; a jump at the left endpoint of a cell
-    belongs to that cell and uses the left value.
+    limit; their views carry settled.  Simpson on each mesh cell for the
+    density part, whose integrand starts from the post-jump history; a jump
+    at the left endpoint of a cell belongs to that cell and uses the left
+    value.
     """
     mesh, n, dim = x.mesh, i1 - i0, x.dim
     half = np.empty(2 * n + 1)  # nodes and midpoints in time order
@@ -207,7 +219,7 @@ def _sweep(p: MfdeProblem, x: Trajectory, caches: tuple, i0: int, i1: int,
         if len(jc):
             s = np.concatenate([s, half[2 * (a + jc)]])
             right = np.concatenate([np.full(m, -1), i0 + a + jc])
-        fs, reads = _batch_rhs(p, x, s, right)
+        fs, reads = _batch_rhs(p, x, s, right, settled)
         fn, fp = fs[0:m:2], fs[0:m - 1:2]
         if len(jc):
             fp = fp.copy()
@@ -304,7 +316,8 @@ def solve_picard(p: MfdeProblem, step: float | None = None,
         delta = math.inf
         for _ in range(p.max_iters):
             total_iters += 1
-            vals, post = _sweep(p, x, caches, i0, i1, base)
+            # x is final at and below the base node while the window runs
+            vals, post = _sweep(p, x, caches, i0, i1, base, mesh[i0])
             delta = max(float(np.abs(vals - x.values[i0:i1 + 1]).max()),
                         float(np.abs(post - x.post_jump_values[i0:i1 + 1]).max()))
             x.values[i0:i1 + 1] = vals
@@ -439,6 +452,13 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
     and f's rest; a batch of kept times makes no lag reads and builds no
     lag rules.  Only a batch view of this problem's phi0 at this t0 is
     served kept values, and every row's bits are the same in any batch.
+
+    f also keeps the rest-column products of its last batch whose view has
+    a settled time above -inf (see _HistoryView).  A batch with the same
+    trajectory, delayed times, post indices and settled time recomputes
+    only the columns from the first one that some row reads above settled
+    or at a right limit: on the solver's later sweeps of a window, a few of
+    the 160.  Its rows are summed whole, as before, so they keep their bits.
     """
     (nodes,), (kw,) = _lag_rules(np.array([0.0]), KERNEL_H)  # kernel weights
     depth = KERNEL_CUTOFF + sigma + 1.0
@@ -456,6 +476,39 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
     def ksum(psi, cols: slice) -> np.ndarray:
         """f's kernel integral over the columns cols, one sum per row."""
         return (np.tanh(psi(nodes[cols])) * kw[cols]).sum(axis=1)
+
+    rest_nodes, rest_kw = nodes[head:], kw[head:]
+    kept = []  # the last solver batch: its x, settled, t, post, products
+
+    def reusable(psi) -> bool:
+        if not (kept and own(psi)):
+            return False
+        x, settled, t, post, _ = kept
+        return (x is psi.x and settled == psi.settled and np.array_equal(t, psi.t)
+                and (post is None) == (psi.post is None)
+                and (post is None or np.array_equal(post, psi.post)))
+
+    def rest_sum(psi) -> np.ndarray:
+        """ksum over the columns from head on; on a batch that can reuse the
+        kept one, only the columns from the first unsettled one are read."""
+        if reusable(psi):
+            prod = kept[4]
+            # the absolute read times, as psi.eval forms them
+            th = np.minimum(np.maximum(rest_nodes, psi.lo), 0.0)
+            done = psi.t[:, None] + th <= psi.settled
+            if psi.post is not None:  # a right limit is never settled
+                done[:, th == 0.0] &= (psi.post < 0)[:, None]
+            done = done.all(axis=0)
+            first = len(done) if done.all() else int(done.argmin())
+            if first < len(done):
+                prod[:, first:] = np.tanh(psi(rest_nodes[first:])) * rest_kw[first:]
+        else:
+            prod = np.tanh(psi(rest_nodes)) * rest_kw
+            kept.clear()
+            if own(psi) and psi.settled > -math.inf:
+                post = None if psi.post is None else psi.post.copy()
+                kept.extend((psi.x, psi.settled, psi.t.copy(), post, prod))
+        return prod.sum(axis=1)
 
     def head_sum(s, psi):  # kept where every head read lies in phi0
         return ksum(psi, slice(0, head)), s + nodes[head - 1] <= t0
@@ -477,7 +530,7 @@ def tanh_kernel_problem(sigma: float = 2.0, t0: float = 0.0, tol: float = 1e-9,
     def f(t, psi):
         if np.ndim(t) == 0:
             return float(math.cos(t) ** 2 * np.dot(kw, np.tanh(psi(nodes))))
-        rest = ksum(psi, slice(head, None))
+        rest = rest_sum(psi)
         if not head:
             return np.cos(t) ** 2 * rest
         part = (heads.recall(psi.t, psi, head_sum) if own(psi)

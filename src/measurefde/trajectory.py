@@ -71,23 +71,31 @@ class _HistoryView:
     f and rho_delay get it for the length of a call.  reads[0] is the most
     points a read made for one of its rows, shared with the views made from
     it; a row repeated k times counts k times.
+
+    settled is a time at or below which x will not change for the rest of
+    the pass that made the view: a read at an absolute time t + clip(theta)
+    <= settled, other than a right limit, returns the same bits on every
+    later view with the same settled.  The Picard solver sets it to the base
+    node of the window it sweeps; every other view has -inf, which settles
+    nothing.
     """
 
-    __slots__ = ("x", "t", "lo", "dim", "post", "rep", "reads")
+    __slots__ = ("x", "t", "lo", "dim", "post", "rep", "reads", "settled")
 
-    def __init__(self, x: Trajectory, t: np.ndarray, depth: float | None, post=None):
+    def __init__(self, x: Trajectory, t: np.ndarray, depth: float | None, post=None,
+                 settled: float = -math.inf):
         t_hi = float(t.max())
         _check_range(x, float(t.min()), t_hi)
         if t_hi > x.mesh[-1]:
             t = np.minimum(t, x.mesh[-1])
         self.x, self.dim, self.t, self.post, self.rep = x, x.dim, t, post, 1
         self.lo = -math.inf if depth is None else -depth
-        self.reads = [0]
+        self.reads, self.settled = [0], settled
 
     def _like(self, t, post, rep: int = 1) -> "_HistoryView":
         view = object.__new__(_HistoryView)
         view.x, view.dim, view.lo, view.reads = self.x, self.dim, self.lo, self.reads
-        view.t, view.post, view.rep = t, post, rep
+        view.t, view.post, view.rep, view.settled = t, post, rep, self.settled
         return view
 
     def take(self, rows) -> "_HistoryView":

@@ -50,6 +50,8 @@ def test_unknown_flag_is_usage_error():
     ["mfde", "--jumps", "0.05:-1"],
     ["mfde", "--step", "0"],
     ["mfde", "--step", "-1"],
+    ["mfde", "--sigma", "0.1", "--step", "5e-324"],   # sigma / step overflows
+    ["mfde", "--sigma", "0.1", "--step", "1e-300"],   # too many mesh cells
     ["avg", "--L", "0"],
     ["avg", "--eps0", "0"],
     ["es", "--dt", "0", "--t-end", "1"],

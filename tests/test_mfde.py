@@ -432,3 +432,18 @@ def test_difference_equation_matches_direct_recursion():
               np.max(np.abs(x.post_jump_values[rows, 0] - posts[1:])))
     # 0.0 measured; the bound allows four ulps of |x| <= 1
     assert err <= 4 * np.spacing(1.0)
+
+
+def test_build_mesh_refuses_more_cells_than_it_may_ask_for(monkeypatch):
+    # the cell count sigma / step decides before anything is allocated; a
+    # subnormal step makes it inf, which math.ceil raised OverflowError on
+    from measurefde import mfde
+    p = simple_problem(lambda t, psi: 0.0, Integrator.identity())
+    for step in (5e-324, 1e-300):
+        for build in (build_mesh, solve_picard):
+            with pytest.raises(ValueError, match="mesh cells"):
+                build(p, step)
+    monkeypatch.setattr(mfde, "MAX_CELLS", 10)
+    assert len(build_mesh(p, 0.1)) == 11
+    with pytest.raises(ValueError, match="mesh cells"):
+        build_mesh(p, 0.0999)

@@ -1,10 +1,12 @@
-"""The tanh example's per-time memo of what it reads from phi0.
+"""The tanh example's per-time memo of what it reads from phi0, and f's
+reuse of its settled kernel columns across a window's sweeps.
 
 rho keeps the lag of every row whose reads all lie in phi0, and f keeps
 the part of its kernel integral over the columns that no time of the
-horizon reads above t0.  A kept value must carry the bits a memo-free
-evaluation gives, and no row that reads the iterate, and no other history,
-may be served one.
+horizon reads above t0.  f also keeps the products of its last batch's
+other columns, for a later batch of the same reads whose view settles
+them.  A kept value must carry the bits a memo-free evaluation gives, and
+no row that reads the iterate, and no other history, may be served one.
 """
 
 from dataclasses import replace
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 from measurefde import mfde
-from measurefde.mfde import (_HistoryView, build_mesh, initial_trajectory,
+from measurefde.mfde import (HypothesisViolationError, _HistoryView,
+                             build_mesh, gamma_apply, initial_trajectory,
                              residual, solve_picard, tanh_kernel_problem)
 from measurefde.phase_space import RegulatedFn
 from measurefde.trajectory import Trajectory
@@ -175,6 +178,102 @@ def test_kept_values_are_returned_as_new_arrays():
         assert np.array_equal(a, r) and np.array_equal(b, fx)
         a[:] = np.nan
         b[:] = np.nan
+
+
+@pytest.mark.parametrize("t0", [0.0, -0.5, 1e6])
+@pytest.mark.parametrize("train", [False, True])
+def test_settled_reuse_keeps_the_bits(monkeypatch, t0, train):
+    # the solve's trajectory is taken before its delay check, which the
+    # seed-0 train fails at t0 = -0.5 after the sweeps
+    jumps, solved = seed0_train(t0) if train else (), []
+    check = mfde._assert_monotone_delay
+
+    def recorded(p, x):
+        solved.append(x)
+        check(p, x)
+
+    def solve():
+        p = tanh_kernel_problem(sigma=2.0, t0=t0, jumps=jumps)
+        try:
+            return (*solve_picard(p, 2e-3)[1:], solved[-1])
+        except HypothesisViolationError as err:
+            return str(err), None, solved[-1]
+
+    monkeypatch.setattr(mfde, "_assert_monotone_delay", recorded)
+    iters, delta, x = solve()
+    # every sweep's views settle nothing, so f reads all of its columns
+    sweep = mfde._sweep
+    monkeypatch.setattr(mfde, "_sweep", lambda *args: sweep(*args[:6]))
+    assert solve()[:2] == (iters, delta)
+    y = solved[-1]
+    assert np.array_equal(x.values, y.values)
+    assert np.array_equal(x.post_jump_values, y.post_jump_values)
+
+
+@pytest.mark.parametrize("t0", [0.0, 1e6])
+@pytest.mark.parametrize("train", [False, True])
+def test_later_sweeps_read_few_rest_columns(monkeypatch, t0, train):
+    # f's rest columns are its reads of at most 160 shared points per row
+    # (the 321 head columns are read through the memo's own views); the
+    # first sweep of each window reads all 160 of them, a later one only
+    # those some row reads above the window's base node
+    rest = {}
+    read = _HistoryView.eval
+
+    def counted(view, theta):
+        theta = np.asarray(theta)
+        if theta.ndim == 1 and theta.size <= 160 and view.settled > -np.inf:
+            rest.setdefault(view.settled, []).append(theta.size)
+        return read(view, theta)
+
+    monkeypatch.setattr(_HistoryView, "eval", counted)
+    jumps = seed0_train(t0) if train else ()
+    solve_picard(tanh_kernel_problem(sigma=2.0, t0=t0, jumps=jumps), 2e-3)
+    assert len(rest) > 100
+    assert all(sizes[0] == 160 for sizes in rest.values())
+    later = [n for sizes in rest.values() for n in sizes[1:]]
+    assert later and max(later) <= 4
+
+
+def test_no_reuse_outside_a_solve():
+    p = tanh_kernel_problem(sigma=2.0)
+    x, _, _ = solve_picard(p, 2e-3)
+    # a change inside the last window, whose batch f still keeps
+    x.values[-4] += 0.25
+    x.post_jump_values[-4] += 0.25
+    fresh = tanh_kernel_problem(sigma=2.0)
+    gx, gy = gamma_apply(x, p), gamma_apply(x, fresh)
+    assert np.array_equal(gx.values, gy.values)
+    assert np.array_equal(gx.post_jump_values, gy.post_jump_values)
+    assert residual(x, p) == residual(x, fresh)
+    # one problem solved at two steps, against fresh problems
+    for step in (4e-3, 2e-3):
+        y, iters, delta = solve_picard(p, step)
+        z, iters_z, delta_z = solve_picard(tanh_kernel_problem(sigma=2.0), step)
+        assert (iters, delta) == (iters_z, delta_z)
+        assert np.array_equal(y.values, z.values)
+        assert np.array_equal(y.post_jump_values, z.post_jump_values)
+
+
+def test_columns_read_above_settled_or_at_a_right_limit_are_read_again():
+    # one row at a jump node whose view settles every time up to that
+    # node: only its theta = 0 read, a right limit, is read again; two rows
+    # with one above the node read again what lies above it
+    p = tanh_kernel_problem(sigma=2.0, t0=1e6)
+    fresh = tanh_kernel_problem(sigma=2.0, t0=1e6)
+    x = noisy(p, 0.05, 6)
+    for t, post, changed in ((x.mesh[4:5], np.array([4]), [x.post_jump_values[4:5]]),
+                             (x.mesh[4:9:4], None, [x.values[6:7], x.post_jump_values[6:7]])):
+        def view():
+            return _HistoryView(x, t, p.history_depth, post, x.mesh[4])
+
+        before = p.f(t, view())
+        assert np.array_equal(p.f(t, view()), before)
+        for values in changed:
+            values += 0.5
+        after = p.f(t, view())
+        assert np.array_equal(after, fresh.f(t, _HistoryView(x, t, p.history_depth, post)))
+        assert after[-1] != before[-1]
 
 
 class Rows:
